@@ -1,7 +1,6 @@
 #include "dserve/cluster_client.hpp"
 
-#include <algorithm>
-#include <unordered_set>
+#include <limits>
 
 #include "common/error.hpp"
 #include "obs/slow_log.hpp"
@@ -11,18 +10,204 @@
 
 namespace rnb::dserve {
 
-using kv::Value;
+namespace {
+
+constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+/// Item lists keyed by ServerId, threaded through one node pool: appending
+/// keeps each list in insertion order, and a warm pool allocates nothing.
+class ServerLists {
+ public:
+  void reset(std::size_t servers) {
+    head_.assign(servers, kNone);
+    tail_.assign(servers, kNone);
+    next_.clear();
+    item_.clear();
+  }
+
+  void push(ServerId s, std::uint32_t item) {
+    const auto node = static_cast<std::uint32_t>(item_.size());
+    item_.push_back(item);
+    next_.push_back(kNone);
+    if (head_[s] == kNone)
+      head_[s] = node;
+    else
+      next_[tail_[s]] = node;
+    tail_[s] = node;
+  }
+
+  bool empty(ServerId s) const { return head_[s] == kNone; }
+
+  template <typename Fn>
+  void for_each(ServerId s, Fn&& fn) const {
+    for (std::uint32_t n = head_[s]; n != kNone; n = next_[n]) fn(item_[n]);
+  }
+
+ private:
+  std::vector<std::uint32_t> head_, tail_;  // per server: first/last node
+  std::vector<std::uint32_t> next_, item_;  // per node
+};
+
+}  // namespace
+
+/// Everything one operation plans in, reused across operations. Items are
+/// the request's distinct keys in first-appearance order, as views into the
+/// caller's keys.
+struct KvClusterClient::Scratch {
+  explicit Scratch(ServerId num_servers)
+      : servers(num_servers),
+        contacted(num_servers, 0),
+        failed(num_servers, 0),
+        planned(num_servers, 0) {}
+
+  ServerId servers;
+  std::uint64_t op = 0;  // stamps the per-server marks below
+
+  // Items, their fnv1a64 hashes (placement's item ids), and an
+  // open-addressing table of item indices keyed by those hashes.
+  std::vector<std::string_view> items;
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::uint32_t> slots;
+  unsigned shift = 0;
+
+  // Placement: item i's replicas are locations[i * stride, +stride). The
+  // cover instance reuses the same layout for its candidates.
+  std::size_t stride = 0;
+  std::vector<ServerId> locations;
+  std::vector<ServerId> candidates;
+  std::vector<std::uint32_t> counts;
+  std::vector<std::uint32_t> pool;  // a recover round's items
+  GreedyScratch greedy;
+  CoverResult cover;
+  std::vector<ServerId> assignment;
+  std::vector<ServerId> single;  // a single-key operation's replicas
+
+  // Per-item state.
+  std::vector<std::uint8_t> satisfied;
+  std::vector<std::uint8_t> stranded;
+  std::vector<std::uint64_t> bundle_of;  // last bundle holding the item
+  std::vector<std::string*> value_of;    // its slot in result.values
+
+  // Per-server state, stamped with `op` so nothing is cleared per call.
+  std::vector<std::uint64_t> contacted;
+  std::vector<std::uint64_t> failed;
+  std::vector<std::uint64_t> planned;  // in the round-1 cover
+  std::uint32_t contacted_count = 0;
+  ServerLists bundles;
+  ServerLists hitchhikers;
+
+  // The open bundle: its stamp and the keys of the frame being sent.
+  std::uint64_t bundle = 0;
+  std::vector<std::string_view> keys;
+  // What accept() made of the frame fetch() kept.
+  std::vector<kv::ValueView> views;
+  std::vector<std::uint32_t> view_items;
+  bool bounced = false;
+
+  /// Deduplicate `requested` into items; returns the item count.
+  template <typename Keys>
+  std::size_t index(const Keys& requested) {
+    items.clear();
+    hashes.clear();
+    std::size_t capacity = 16;
+    shift = 60;
+    while (capacity < 2 * std::size(requested)) {
+      capacity <<= 1;
+      --shift;
+    }
+    slots.assign(capacity, kNone);
+    for (const std::string_view key : requested) {
+      const std::uint64_t h = ClusterView::item_of(key);
+      std::uint32_t& slot = probe(key, h);
+      if (slot != kNone) continue;
+      slot = static_cast<std::uint32_t>(items.size());
+      items.push_back(key);
+      hashes.push_back(h);
+    }
+    const std::size_t m = items.size();
+    satisfied.assign(m, 0);
+    stranded.assign(m, 0);
+    bundle_of.assign(m, 0);
+    value_of.assign(m, nullptr);
+    return m;
+  }
+
+  /// The item named `key`, or kNone.
+  std::uint32_t find(std::string_view key) {
+    return probe(key, ClusterView::item_of(key));
+  }
+
+  /// The table slot holding `key` (hash `h`), or the empty slot it would
+  /// go in. High hash bits pick the start: FNV-1a's low bits only mix the
+  /// keys' low bits.
+  std::uint32_t& probe(std::string_view key, std::uint64_t h) {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t p = static_cast<std::size_t>(h >> shift);;
+         p = (p + 1) & mask) {
+      std::uint32_t& slot = slots[p];
+      if (slot == kNone || (hashes[slot] == h && items[slot] == key))
+        return slot;
+    }
+  }
+
+  /// Place every item under `placement`.
+  void place(const ClusterView::Snapshot& placement) {
+    const std::size_t m = items.size();
+    stride = placement.replication();
+    locations.resize(m * stride);
+    candidates.resize(m * stride);
+    counts.resize(m);
+    for (std::size_t i = 0; i < m; ++i) placement.replicas(hashes[i], row(i));
+  }
+
+  std::span<ServerId> row(std::size_t i) {
+    return std::span<ServerId>(locations).subspan(i * stride, stride);
+  }
+
+  /// Cover instance row `j`: `i`'s replicas that pass `keep`, or all of
+  /// them when `keep_all_if_none` and none do. Returns the row's size.
+  template <typename Keep>
+  std::uint32_t candidate_row(std::size_t j, std::size_t i, Keep keep,
+                              bool keep_all_if_none) {
+    ServerId* out = &candidates[j * stride];
+    std::uint32_t n = 0;
+    for (const ServerId s : row(i))
+      if (keep(s)) out[n++] = s;
+    if (n == 0 && keep_all_if_none)
+      for (const ServerId s : row(i)) out[n++] = s;
+    counts[j] = n;
+    return n;
+  }
+
+  FlatCoverInstance instance(std::size_t n) const {
+    return {candidates, std::span<const std::uint32_t>(counts).first(n),
+            stride};
+  }
+
+  void open_bundle() {
+    ++bundle;
+    keys.clear();
+  }
+
+  void add(std::uint32_t i) {
+    bundle_of[i] = bundle;
+    keys.push_back(items[i]);
+  }
+};
 
 KvClusterClient::KvClusterClient(kv::KvTransport& transport, ClusterView& view,
                                  const KvClusterClientConfig& config)
     : transport_(transport),
       view_(view),
       config_(config),
-      exchange_(transport, config.failure) {
+      exchange_(transport, config.failure),
+      scratch_(std::make_unique<Scratch>(view.num_servers())) {
   // Elastic fleets size the transport to capacity; the view may know the
   // same capacity or (a static view over a subset) fewer servers.
   RNB_REQUIRE(transport.num_servers() >= view.num_servers());
 }
+
+KvClusterClient::~KvClusterClient() = default;
 
 bool KvClusterClient::exchange(
     ServerId server, double& elapsed,
@@ -33,25 +218,43 @@ bool KvClusterClient::exchange(
   return ok;
 }
 
-std::optional<std::vector<Value>> KvClusterClient::exchange_values(
-    ServerId server, double& elapsed, bool* stale) {
+bool KvClusterClient::accept(const std::string& frame) {
   // A WRONG_EPOCH bounce is a well-formed response from a healthy server —
   // it must pass validity (retrying the same stale frame cannot help) and
   // must not be confused with a truncated VALUE block.
-  const auto valid = [](const std::string& frame) {
-    return kv::parse_values(frame, /*with_versions=*/false).has_value() ||
-           kv::parse_wrong_epoch(frame).has_value();
-  };
-  if (!exchange(server, elapsed, valid)) return std::nullopt;
-  if (kv::parse_wrong_epoch(response_).has_value()) {
-    if (stale != nullptr) *stale = true;
-    return std::nullopt;
+  Scratch& s = *scratch_;
+  s.bounced = false;
+  if (kv::parse_value_views(frame, /*with_versions=*/false, s.views)) {
+    s.view_items.clear();
+    for (const kv::ValueView& v : s.views) {
+      const std::uint32_t i = s.find(v.key);
+      if (i == kNone || s.bundle_of[i] != s.bundle) return false;
+      s.view_items.push_back(i);
+    }
+    return true;
   }
-  return kv::parse_values(response_, /*with_versions=*/false);
+  s.bounced = kv::parse_wrong_epoch(frame).has_value();
+  return s.bounced;
+}
+
+KvClusterClient::Fetch KvClusterClient::fetch(ServerId server,
+                                              double& elapsed) {
+  if (!exchange(server, elapsed,
+                [this](const std::string& frame) { return accept(frame); }))
+    return Fetch::kFailed;
+  return scratch_->bounced ? Fetch::kStale : Fetch::kValues;
 }
 
 void KvClusterClient::tag_epoch(std::uint64_t epoch) {
   kv::append_epoch_tag(request_, epoch);
+}
+
+std::span<const ServerId> KvClusterClient::replicas_of(
+    const ClusterView::Snapshot& placement, std::string_view key) {
+  std::vector<ServerId>& out = scratch_->single;
+  out.resize(placement.replication());
+  placement.replicas(ClusterView::item_of(key), out);
+  return out;
 }
 
 std::uint32_t KvClusterClient::set(std::string_view key,
@@ -61,11 +264,11 @@ std::uint32_t KvClusterClient::set(std::string_view key,
   double elapsed = 0.0;
   std::uint32_t stored = 0;
   // One bounded replan: a WRONG_EPOCH bounce means the view moved under
-  // us; re-read epoch + placement once and redo the bounced writes (a
-  // re-set is idempotent, so redoing acked replicas is harmless).
+  // us; take a fresh snapshot once and redo the bounced writes (a re-set
+  // is idempotent, so redoing acked replicas is harmless).
   for (int plan = 0; plan < 2; ++plan) {
-    const std::uint64_t epoch = view_.epoch();
-    const std::vector<ServerId> servers = view_.replicas(key);
+    const ClusterView::Snapshot placement = view_.snapshot();
+    const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
     stored = 0;
     for (std::size_t r = 0; r < servers.size(); ++r) {
@@ -75,7 +278,7 @@ std::uint32_t KvClusterClient::set(std::string_view key,
       }
       request_.clear();
       kv::encode_set(key, value, /*pin=*/r == 0, request_);
-      tag_epoch(epoch);
+      tag_epoch(placement.epoch());
       if (!exchange(servers[r], elapsed)) {
         view_.mark_down(servers[r], op_started);
         continue;
@@ -94,25 +297,28 @@ std::optional<std::string> KvClusterClient::get(std::string_view key) {
   view_.tick();
   const std::uint64_t op_started = view_.ops();
   double elapsed = 0.0;
+  Scratch& s = *scratch_;
+  s.index(std::span<const std::string_view>(&key, 1));
   // One bounded replan on a WRONG_EPOCH bounce, as in set().
   for (int plan = 0; plan < 2; ++plan) {
-    const std::uint64_t epoch = view_.epoch();
+    const ClusterView::Snapshot placement = view_.snapshot();
     // Distinguished copy first (the paper's rule for unbundled fetches);
     // degrade through the remaining replicas when it is unreachable.
-    const std::vector<ServerId> servers = view_.replicas(key);
+    const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
     for (std::size_t r = 0; r < servers.size() && !bounced; ++r) {
+      s.open_bundle();
+      s.add(0);
       request_.clear();
-      kv::encode_get({std::string(key)}, /*with_versions=*/false, request_);
-      tag_epoch(epoch);
-      bool stale = false;
-      const auto values = exchange_values(servers[r], elapsed, &stale);
-      if (values) {
-        if (!values->empty()) return values->front().data;
+      kv::encode_get(s.keys, /*with_versions=*/false, request_);
+      tag_epoch(placement.epoch());
+      const Fetch got = fetch(servers[r], elapsed);
+      if (got == Fetch::kValues) {
+        if (!s.views.empty()) return std::string(s.views.front().data);
         if (r == 0) return std::nullopt;  // distinguished miss: key absent
         continue;  // cold replica — keep degrading
       }
-      if (stale) {
+      if (got == Fetch::kStale) {
         bounced = true;
         break;
       }
@@ -131,25 +337,25 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     std::span<const std::string> keys) {
   view_.tick();
   const std::uint64_t op_started = view_.ops();
-  // The whole cover is planned against one epoch; a WRONG_EPOCH bounce
-  // strands the bundle's keys and the next recover round refreshes the
-  // ring and re-plans them.
-  std::uint64_t op_epoch = view_.epoch();
+  Scratch& s = *scratch_;
+  const std::uint64_t op = ++s.op;
+  s.contacted_count = 0;
+  // The whole cover is planned against one placement snapshot, and every
+  // frame carries that snapshot's epoch; a WRONG_EPOCH bounce strands the
+  // bundle's keys and the next recover round takes a fresh snapshot and
+  // re-plans them.
+  ClusterView::Snapshot placement = view_.snapshot();
+  std::uint64_t op_epoch = placement.epoch();
   // Root of the distributed trace for this operation; every transaction
   // and remote server span hangs off this span's trace id.
   obs::SpanScope req_span("request", "kv_client",
                           obs::SpanScope::Kind::kRoot);
   MultiGetResult result;
 
-  // Deduplicate, first-appearance order.
-  std::vector<std::string> items;
-  {
-    std::unordered_set<std::string_view> seen;
-    for (const std::string& k : keys)
-      if (seen.insert(k).second) items.push_back(k);
-  }
-  const std::size_t m = items.size();
+  const std::size_t m = s.index(keys);
   if (m == 0) return result;
+  result.values.reserve(m);
+  s.place(placement);
 
   // Plan over surviving replicas: a server the view believes dead is not
   // a bundling candidate, so its crash costs this request nothing — the
@@ -157,31 +363,18 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
   // every client re-discovering it per request. A key whose replicas are
   // all marked down keeps its full list: probing a possibly-restored
   // server beats reporting the key unavailable without trying.
-  CoverInstance instance;
-  instance.candidates.resize(m);
-  std::vector<std::vector<ServerId>> locations(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    locations[i] = view_.replicas(items[i]);
-    std::vector<ServerId> live;
-    for (const ServerId s : locations[i])
-      if (!view_.is_down(s)) live.push_back(s);
-    instance.candidates[i] = live.empty() ? locations[i] : std::move(live);
-  }
-  const CoverResult cover = greedy_cover(instance);
+  const auto live = [this](ServerId srv) { return !view_.is_down(srv); };
+  for (std::size_t i = 0; i < m; ++i)
+    s.candidate_row(i, i, live, /*keep_all_if_none=*/true);
+  greedy_cover(s.instance(m), s.cover, s.greedy);
   // Mutable: recover rounds re-assign items stranded on failed servers.
-  std::vector<ServerId> assignment = cover.assignment;
+  s.assignment = s.cover.assignment;
 
   const kv::KvFailureStats before = exchange_.stats();
   double elapsed = 0.0;
   std::uint32_t waves = 0;
-  std::unordered_set<ServerId> contacted;
-  // Servers that ate every attempt of a bundled get this operation.
-  std::unordered_set<ServerId> failed;
-  // Items whose assigned bundle died (server failure or epoch bounce);
-  // recover rounds re-plan exactly these.
-  std::vector<bool> stranded(m, false);
   // Set when any bundle bounced WRONG_EPOCH: the next recover round
-  // refreshes the ring before re-planning.
+  // refreshes the snapshot before re-planning.
   bool stale_view = false;
   const auto out_of_time = [&]() {
     if (!exchange_.deadline_exceeded(elapsed)) return false;
@@ -191,83 +384,89 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     }
     return true;
   };
-  const auto unreachable = [&](ServerId s) {
-    return failed.contains(s) || view_.is_down(s);
+  // `failed`: servers that ate every attempt of a bundled get this
+  // operation.
+  const auto unreachable = [&](ServerId srv) {
+    return s.failed[srv] == op || view_.is_down(srv);
+  };
+  const auto contact = [&](ServerId srv) {
+    if (s.contacted[srv] == op) return;
+    s.contacted[srv] = op;
+    ++s.contacted_count;
+  };
+  const auto fail = [&](ServerId srv) {
+    s.failed[srv] = op;
+    view_.mark_down(srv, op_started);
+    ++result.servers_marked_down;
+  };
+  const auto store = [&](std::size_t k) {
+    const kv::ValueView& v = s.views[k];
+    std::string*& slot = s.value_of[s.view_items[k]];
+    if (slot == nullptr)
+      slot = &result.values.emplace(v.key, v.data).first->second;
+    else
+      slot->assign(v.data);
+    s.satisfied[s.view_items[k]] = 1;
   };
 
-  // Round 1 bundles.
-  std::unordered_map<ServerId, std::vector<std::size_t>> by_server;
-  for (std::size_t i = 0; i < m; ++i)
-    by_server[assignment[i]].push_back(i);
-
-  // Hitchhikers: covered keys appended to transactions whose server also
-  // holds one of their replicas (zero extra transactions).
-  std::unordered_map<ServerId, std::vector<std::size_t>> hitchhikers;
-  if (config_.hitchhiking) {
-    std::unordered_set<ServerId> in_plan(cover.servers_used.begin(),
-                                         cover.servers_used.end());
-    for (std::size_t i = 0; i < m; ++i)
-      for (const ServerId s : locations[i])
-        if (s != assignment[i] && in_plan.contains(s))
-          hitchhikers[s].push_back(i);
-  }
-
-  std::vector<bool> satisfied(m, false);
-  std::unordered_map<std::string_view, std::size_t> index_of;
-  for (std::size_t i = 0; i < m; ++i) index_of.emplace(items[i], i);
-
-  // One bundled get under the failure policy; a server that eats every
-  // attempt is marked down in the shared view.
-  const auto bundled_get = [&](ServerId s,
-                               const std::vector<std::size_t>& idxs,
-                               const std::vector<std::size_t>* extra,
+  // One bundled get under the failure policy: `srv`'s list in s.bundles,
+  // plus its hitchhikers when given. Items whose bundle dies (server
+  // failure or epoch bounce) are stranded for the recover rounds; a server
+  // that eats every attempt is marked down in the shared view. On kValues
+  // the response's values are stored and still parsed in s.views.
+  const auto bundled_get = [&](ServerId srv, const ServerLists* extra,
                                std::uint32_t& txn_counter) {
-    std::vector<std::string> bundle;
-    bundle.reserve(idxs.size());
-    for (const std::size_t i : idxs) bundle.push_back(items[i]);
+    s.open_bundle();
+    s.bundles.for_each(srv, [&](std::uint32_t i) { s.add(i); });
     if (extra != nullptr)
-      for (const std::size_t i : *extra) {
-        bundle.push_back(items[i]);
+      extra->for_each(srv, [&](std::uint32_t i) {
+        s.add(i);
         ++result.hitchhiker_keys;
-      }
+      });
     request_.clear();
-    kv::encode_get(bundle, /*with_versions=*/false, request_);
+    kv::encode_get(s.keys, /*with_versions=*/false, request_);
     tag_epoch(op_epoch);
     ++txn_counter;
-    contacted.insert(s);
-    bool stale = false;
-    const auto values = exchange_values(s, elapsed, &stale);
-    if (!values) {
-      for (const std::size_t i : idxs) stranded[i] = true;
-      if (stale) {
-        // Healthy server, old ring: strand the keys for a re-plan but
-        // leave the server's health alone.
-        stale_view = true;
-        return;
-      }
-      failed.insert(s);
-      view_.mark_down(s, op_started);
-      ++result.servers_marked_down;
-      return;
+    contact(srv);
+    const Fetch got = fetch(srv, elapsed);
+    const std::uint8_t stranded = got == Fetch::kValues ? 0 : 1;
+    s.bundles.for_each(srv, [&](std::uint32_t i) { s.stranded[i] = stranded; });
+    if (got == Fetch::kStale) {
+      // Healthy server, old ring: strand the keys for a re-plan but leave
+      // the server's health alone.
+      stale_view = true;
+    } else if (got == Fetch::kFailed) {
+      fail(srv);
+    } else {
+      for (std::size_t k = 0; k < s.views.size(); ++k) store(k);
     }
-    for (const std::size_t i : idxs) stranded[i] = false;
-    for (const Value& v : *values) {
-      result.values[v.key] = v.data;
-      satisfied[index_of.at(v.key)] = true;
-    }
+    return got;
   };
+
+  // Round 1 bundles, and hitchhikers: covered keys appended to
+  // transactions whose server also holds one of their replicas (zero extra
+  // transactions).
+  s.bundles.reset(s.servers);
+  for (std::size_t i = 0; i < m; ++i)
+    s.bundles.push(s.assignment[i], static_cast<std::uint32_t>(i));
+  if (config_.hitchhiking) {
+    s.hitchhikers.reset(s.servers);
+    for (const ServerId srv : s.cover.servers_used) s.planned[srv] = op;
+    for (std::size_t i = 0; i < m; ++i)
+      for (const ServerId srv : s.row(i))
+        if (srv != s.assignment[i] && s.planned[srv] == op)
+          s.hitchhikers.push(srv, static_cast<std::uint32_t>(i));
+  }
 
   {
     ++waves;
     obs::SpanScope wave_span("wave", "kv_client");
     wave_span.note("kind", "round1");
     wave_span.arg("transactions",
-                  static_cast<std::int64_t>(cover.servers_used.size()));
-    for (const ServerId s : cover.servers_used) {
+                  static_cast<std::int64_t>(s.cover.servers_used.size()));
+    for (const ServerId srv : s.cover.servers_used) {
       if (out_of_time()) break;
-      const auto hit_it = hitchhikers.find(s);
-      bundled_get(s, by_server.at(s),
-                  hit_it == hitchhikers.end() ? nullptr : &hit_it->second,
+      bundled_get(srv, config_.hitchhiking ? &s.hitchhikers : nullptr,
                   result.round1_transactions);
     }
   }
@@ -275,116 +474,96 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
   // Recover rounds: items stranded on a failed server get the cover re-run
   // over their surviving replicas — replication means a dead bundle costs
   // extra transactions, not the keys. An epoch bounce strands the same way,
-  // but first the round refreshes the ring (the controller published the
-  // newer epoch before any server started bouncing) and re-derives the
-  // stranded items' replica lists against it.
+  // but first the round takes a fresh snapshot (the controller published
+  // the newer ring before any server started bouncing) and re-places the
+  // items against it.
   for (std::uint32_t round = 0; round < config_.failure.max_recover_rounds;
        ++round) {
     if (out_of_time()) break;
     if (stale_view) {
       stale_view = false;
       ++result.epoch_replans;
-      op_epoch = view_.epoch();
-      for (std::size_t i = 0; i < m; ++i)
-        if (!satisfied[i]) locations[i] = view_.replicas(items[i]);
+      placement = view_.snapshot();
+      op_epoch = placement.epoch();
+      // Satisfied items are re-placed too; nothing reads their rows again.
+      s.place(placement);
     }
-    CoverInstance recover;
-    std::vector<std::size_t> pool;
+    s.pool.clear();
     for (std::size_t i = 0; i < m; ++i) {
-      if (satisfied[i] || !stranded[i]) continue;
-      std::vector<ServerId> live;
-      for (const ServerId s : locations[i])
-        if (!unreachable(s)) live.push_back(s);
-      if (live.empty()) continue;
-      pool.push_back(i);
-      recover.candidates.push_back(std::move(live));
+      if (s.satisfied[i] != 0 || s.stranded[i] == 0) continue;
+      if (s.candidate_row(s.pool.size(), i,
+                          [&](ServerId srv) { return !unreachable(srv); },
+                          /*keep_all_if_none=*/false) == 0)
+        continue;
+      s.pool.push_back(static_cast<std::uint32_t>(i));
     }
-    if (pool.empty()) break;
+    if (s.pool.empty()) break;
     ++exchange_.stats().recover_rounds;
     ++waves;
     obs::SpanScope wave_span("wave", "kv_client");
     wave_span.note("kind", "recover");
     wave_span.arg("round", static_cast<std::int64_t>(round + 1));
-    const CoverResult replan = greedy_cover(recover);
-    std::unordered_map<ServerId, std::vector<std::size_t>> bundles;
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      assignment[pool[j]] = replan.assignment[j];
-      bundles[replan.assignment[j]].push_back(pool[j]);
+    greedy_cover(s.instance(s.pool.size()), s.cover, s.greedy);
+    s.bundles.reset(s.servers);
+    for (std::size_t j = 0; j < s.pool.size(); ++j) {
+      s.assignment[s.pool[j]] = s.cover.assignment[j];
+      s.bundles.push(s.cover.assignment[j], s.pool[j]);
     }
-    for (const ServerId s : replan.servers_used) {
+    for (const ServerId srv : s.cover.servers_used) {
       if (out_of_time()) break;
-      bundled_get(s, bundles.at(s), nullptr, result.recover_transactions);
+      bundled_get(srv, nullptr, result.recover_transactions);
     }
   }
 
   // Round 2: bundled fallbacks for evicted replicas — the distinguished
   // copy by default, or the first reachable replica when servers failed.
-  std::unordered_map<ServerId, std::vector<std::size_t>> fallback;
+  s.bundles.reset(s.servers);
+  std::int64_t fallback_servers = 0;
   for (std::size_t i = 0; i < m; ++i) {
-    if (satisfied[i]) continue;
+    if (s.satisfied[i] != 0) continue;
     // A miss on a *reachable* distinguished server is authoritative — the
     // key does not exist; no fallback can change that. (A stranded item
     // never got an answer, so its miss proves nothing.)
-    if (!stranded[i] && assignment[i] == locations[i][0]) continue;
-    for (const ServerId s : locations[i])
-      if (s != assignment[i] && !unreachable(s)) {
-        fallback[s].push_back(i);
+    if (s.stranded[i] == 0 && s.assignment[i] == s.row(i)[0]) continue;
+    for (const ServerId srv : s.row(i))
+      if (srv != s.assignment[i] && !unreachable(srv)) {
+        if (s.bundles.empty(srv)) ++fallback_servers;
+        s.bundles.push(srv, static_cast<std::uint32_t>(i));
         break;
       }
   }
 
-  std::vector<ServerId> fallback_servers;
-  fallback_servers.reserve(fallback.size());
-  for (const auto& [s, idxs] : fallback) fallback_servers.push_back(s);
-  std::sort(fallback_servers.begin(), fallback_servers.end());
-
-  if (!fallback_servers.empty()) {
+  if (fallback_servers > 0) {
     ++waves;
     obs::SpanScope wave_span("wave", "kv_client");
     wave_span.note("kind", "round2");
-    wave_span.arg("transactions",
-                  static_cast<std::int64_t>(fallback_servers.size()));
-    for (const ServerId s : fallback_servers) {
+    wave_span.arg("transactions", fallback_servers);
+    // Ascending server id.
+    for (ServerId srv = 0; srv < s.servers; ++srv) {
+      if (s.bundles.empty(srv)) continue;
       if (out_of_time()) break;
-      const auto& idxs = fallback.at(s);
-      std::vector<std::string> bundle;
-      bundle.reserve(idxs.size());
-      for (const std::size_t i : idxs) bundle.push_back(items[i]);
-      request_.clear();
-      kv::encode_get(bundle, /*with_versions=*/false, request_);
-      tag_epoch(op_epoch);
-      ++result.round2_transactions;
-      contacted.insert(s);
-      bool stale = false;
-      const auto values = exchange_values(s, elapsed, &stale);
-      if (!values) {
-        // A bounce this late stays unrecovered (recover rounds are spent);
-        // the keys report missing rather than risk an unbounded loop.
-        if (stale) continue;
-        failed.insert(s);
-        view_.mark_down(s, op_started);
-        ++result.servers_marked_down;
+      // A bounce this late stays unrecovered (recover rounds are spent);
+      // the keys report missing rather than risk an unbounded loop.
+      if (bundled_get(srv, nullptr, result.round2_transactions) !=
+              Fetch::kValues ||
+          !config_.write_back_misses)
         continue;
-      }
-      for (const Value& v : *values) {
-        result.values[v.key] = v.data;
-        const std::size_t i = index_of.at(v.key);
-        satisfied[i] = true;
-        // Re-install the replica round 1 expected (write-back rule) —
-        // best-effort: a lost write-back only costs a future round 2.
-        if (config_.write_back_misses && !unreachable(assignment[i])) {
-          request_.clear();
-          kv::encode_set(v.key, v.data, /*pin=*/false, request_);
-          tag_epoch(op_epoch);
-          std::string ack;
-          transport_.roundtrip(assignment[i], request_, ack);
-        }
+      // Re-install the replica round 1 expected (write-back rule) —
+      // best-effort: a lost write-back only costs a future round 2.
+      for (std::size_t k = 0; k < s.views.size(); ++k) {
+        const ServerId home = s.assignment[s.view_items[k]];
+        if (unreachable(home)) continue;
+        request_.clear();
+        kv::encode_set(s.views[k].key, s.views[k].data, /*pin=*/false,
+                       request_);
+        tag_epoch(op_epoch);
+        transport_.roundtrip(home, request_, ack_);
       }
     }
   }
 
   for (std::size_t i = 0; i < m; ++i)
-    if (!satisfied[i]) result.missing.push_back(items[i]);
+    if (s.satisfied[i] == 0) result.missing.emplace_back(s.items[i]);
   result.retries =
       static_cast<std::uint32_t>(exchange_.stats().retries - before.retries);
   result.hedged_sends = static_cast<std::uint32_t>(
@@ -402,7 +581,7 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     sr.waves = waves;
     sr.hitchhikes = result.hitchhiker_keys;
     sr.retries = result.retries;
-    sr.servers = static_cast<std::uint32_t>(contacted.size());
+    sr.servers = s.contacted_count;
     sr.deadline_missed = result.deadline_missed;
     // The epoch the cover was (last) planned against: a slow entry stamped
     // with a migration's epoch is the correlation the flight recorder
@@ -419,15 +598,15 @@ bool KvClusterClient::remove(std::string_view key) {
   double elapsed = 0.0;
   // One bounded replan on a WRONG_EPOCH bounce (deletes are idempotent).
   for (int plan = 0; plan < 2; ++plan) {
-    const std::uint64_t epoch = view_.epoch();
-    const std::vector<ServerId> servers = view_.replicas(key);
+    const ClusterView::Snapshot placement = view_.snapshot();
+    const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
     // Distinguished copy last: a concurrent reader that misses a replica
     // falls back to the distinguished copy, so it must outlive the others.
     for (std::size_t r = servers.size(); r-- > 0;) {
       request_.clear();
       kv::encode_delete(key, request_);
-      tag_epoch(epoch);
+      tag_epoch(placement.epoch());
       if (!exchange(servers[r], elapsed)) continue;
       if (kv::parse_wrong_epoch(response_).has_value()) bounced = true;
       if (r == 0) existed = kv::parse_simple(response_) == "DELETED";

@@ -16,15 +16,24 @@
 // tag, so multi-server runs stitch into the same client→server span trees
 // the single-server path produces.
 //
-// Elastic views add stale-view tolerance: each operation captures the
-// view's epoch once, tags every frame with it, and treats a WRONG_EPOCH
-// bounce as "my ring is old" rather than a server failure — the operation
-// refreshes the ring (the controller publishes it before bumping servers,
-// so the newer ring is always there) and re-plans the unsatisfied keys in
-// a recover round. Static views carry epoch 0 and never tag.
+// Elastic views add stale-view tolerance: each operation plans against one
+// placement snapshot (ClusterView::Snapshot), tags every frame with that
+// snapshot's epoch, and treats a WRONG_EPOCH bounce as "my ring is old"
+// rather than a server failure — the operation takes a fresh snapshot (the
+// controller publishes the ring before bumping servers, so the newer ring
+// is always there) and re-plans the unsatisfied keys in a recover round.
+// Static views carry epoch 0 and never tag.
+//
+// multi_get plans in scratch the client owns and reuses (one client per
+// thread): each key is hashed once, deduplicated through a flat table that
+// also maps returned keys back to items, placed into one flat items ×
+// replicas array, and bundled through per-server lists indexed by
+// ServerId. Each response is parsed once, into views. A warmed-up call
+// allocates only for the MultiGetResult it returns.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -57,6 +66,7 @@ class KvClusterClient {
   /// transport is this worker's own connection (ServerGroup::connect()).
   KvClusterClient(kv::KvTransport& transport, ClusterView& view,
                   const KvClusterClientConfig& config);
+  ~KvClusterClient();
 
   /// Store `value` on every logical replica (replica 0 pinned). Returns
   /// the number of STORED acks.
@@ -90,7 +100,9 @@ class KvClusterClient {
     }
   };
 
-  /// Fetch all keys with RnB bundling over surviving replicas.
+  /// Fetch all keys with RnB bundling over surviving replicas. A response
+  /// carrying a key its bundle did not ask for is malformed: it is counted
+  /// and retried like any garbled frame.
   MultiGetResult multi_get(std::span<const std::string> keys);
 
   /// Delete every replica (distinguished last, so concurrent fallback
@@ -103,16 +115,25 @@ class KvClusterClient {
   }
 
  private:
+  struct Scratch;
+  enum class Fetch { kValues, kStale, kFailed };
+
   bool exchange(ServerId server, double& elapsed,
                 const std::function<bool(const std::string&)>& valid = {},
                 bool allow_hedge = true);
-  /// `stale`, when given, is set instead of returning values if the server
-  /// bounced the frame with WRONG_EPOCH (the bounce is a healthy answer:
-  /// never retried, never a down mark — the caller refreshes and re-plans).
-  std::optional<std::vector<kv::Value>> exchange_values(
-      ServerId server, double& elapsed, bool* stale = nullptr);
+  /// Send the pending get frame, whose keys are the scratch's open bundle.
+  /// kValues leaves the response's values parsed in the scratch; kStale is
+  /// a WRONG_EPOCH bounce (a healthy answer: never retried, never a down
+  /// mark — the caller refreshes and re-plans).
+  Fetch fetch(ServerId server, double& elapsed);
+  /// The validity check fetch() runs on each delivered frame: a VALUE
+  /// frame naming only keys of the open bundle, or a WRONG_EPOCH bounce.
+  bool accept(const std::string& frame);
   /// Tag the pending request with the operation's epoch (no-op for 0).
   void tag_epoch(std::uint64_t epoch);
+  /// `key`'s replicas under `placement`, in a scratch buffer.
+  std::span<const ServerId> replicas_of(const ClusterView::Snapshot& placement,
+                                        std::string_view key);
 
   kv::KvTransport& transport_;
   ClusterView& view_;
@@ -120,7 +141,9 @@ class KvClusterClient {
   // Reused I/O buffers; one client per thread, like RnbKvClient.
   std::string request_;
   std::string response_;
+  std::string ack_;
   kv::KvExchange exchange_;
+  std::unique_ptr<Scratch> scratch_;
 };
 
 }  // namespace rnb::dserve

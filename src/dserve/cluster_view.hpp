@@ -84,12 +84,50 @@ class ClusterView {
   const PlacementPolicy& placement() const noexcept { return *placement_; }
 
   /// Elastic mode: the current ring snapshot (never null), or null for a
-  /// static view. Clients capture one snapshot per operation and plan the
-  /// whole cover against it, so a concurrent install_ring never splits an
-  /// operation across two epochs.
+  /// static view (without taking the ring lock).
   std::shared_ptr<const elastic::RingEpoch> ring() const {
+    if (placement_ != nullptr) return nullptr;
     const std::lock_guard lock(ring_mu_);
     return ring_;
+  }
+
+  /// The placement one operation plans against: the static policy, or one
+  /// ring epoch held for the operation's lifetime. Clients take one
+  /// snapshot per operation (and a fresh one on an epoch re-plan), so a
+  /// concurrent install_ring never splits an operation across two epochs
+  /// and the epoch a frame is tagged with is the one its keys were placed
+  /// under.
+  class Snapshot {
+   public:
+    /// The epoch to tag frames with; 0 for a static view (no tag).
+    std::uint64_t epoch() const noexcept {
+      return ring_ != nullptr ? ring_->epoch() : 0;
+    }
+    std::uint32_t replication() const noexcept {
+      return ring_ != nullptr ? ring_->replication()
+                              : placement_->replication();
+    }
+    /// Write the replicas of `item` into `out` (size() == replication()) in
+    /// replica order; out[0] is the distinguished copy.
+    void replicas(ItemId item, std::span<ServerId> out) const {
+      if (ring_ != nullptr)
+        ring_->replicas(item, out);
+      else
+        placement_->replicas(item, out);
+    }
+
+   private:
+    friend class ClusterView;
+    const PlacementPolicy* placement_ = nullptr;
+    std::shared_ptr<const elastic::RingEpoch> ring_;
+  };
+
+  /// Static views return their fixed placement and take no lock.
+  Snapshot snapshot() const {
+    Snapshot s;
+    s.placement_ = placement_.get();
+    s.ring_ = ring();
+    return s;
   }
 
   /// Publish a newer epoch (the membership controller, after migration).
@@ -100,10 +138,11 @@ class ClusterView {
     ring_ = std::move(ring);
   }
 
-  /// The epoch clients tag requests with; 0 for a static view (no tag).
+  /// The current epoch; 0 for a static view (no tag). Operations tag with
+  /// their snapshot's epoch instead, so tag and placement always agree.
   std::uint64_t epoch() const {
-    const std::lock_guard lock(ring_mu_);
-    return ring_ != nullptr ? ring_->epoch() : 0;
+    const auto current = ring();
+    return current != nullptr ? current->epoch() : 0;
   }
 
   bool elastic() const noexcept { return placement_ == nullptr; }
@@ -116,11 +155,13 @@ class ClusterView {
 
   /// Replica servers of `key` in replica order; [0] is the distinguished
   /// copy. Ignores health — callers filter with is_down() when planning.
-  /// Elastic mode computes against the current ring snapshot; clients
-  /// planning multi-key operations should capture ring() once instead.
+  /// Elastic mode computes against the current ring; operations plan
+  /// against one snapshot() instead.
   std::vector<ServerId> replicas(std::string_view key) const {
-    if (placement_ != nullptr) return placement_->replicas(item_of(key));
-    return ring()->replicas(item_of(key));
+    const Snapshot s = snapshot();
+    std::vector<ServerId> out(s.replication());
+    s.replicas(item_of(key), out);
+    return out;
   }
 
   ServerId distinguished(std::string_view key) const {

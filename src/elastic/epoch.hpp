@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -43,6 +44,9 @@ class RingEpoch {
   }
   std::vector<ServerId> replicas(ItemId item) const {
     return ring_.replicas(item);
+  }
+  void replicas(ItemId item, std::span<ServerId> out) const {
+    ring_.replicas(item, out);
   }
 
  private:

@@ -11,6 +11,9 @@ namespace rnb::kv {
 KvExchange::KvExchange(KvTransport& transport, const KvFailurePolicy& policy)
     : transport_(transport), policy_(policy), backoff_rng_(policy.rng_seed) {
   RNB_REQUIRE(policy.hedge_quantile >= 0.0 && policy.hedge_quantile <= 1.0);
+  // Filled one sample per exchange; sized up front so it never grows
+  // inside an operation.
+  latency_window_.reserve(policy.latency_window);
 }
 
 bool KvExchange::deadline_exceeded(double elapsed) const {
@@ -116,14 +119,18 @@ bool KvExchange::exchange(
             transport_.roundtrip(server, request, hedge_response);
         const double hedge_cost =
             std::min(threshold, r.latency) + h.latency;
-        bool hedge_ok = h.ok() && !hedge_response.empty() &&
-                        (!valid || valid(hedge_response));
+        const bool hedge_delivered = h.ok() && !hedge_response.empty();
+        const bool hedge_ok =
+            hedge_delivered && (!valid || valid(hedge_response));
         if (hedge_ok && (!ok || hedge_cost < cost)) {
           ++stats_.hedge_wins;
           response = std::move(hedge_response);
           cost = ok ? std::min(cost, hedge_cost) : hedge_cost;
           ok = true;
         }
+        // The validator last looked at the hedge's bytes; show it the frame
+        // actually kept, so state it derived (parsed views) matches it.
+        if (ok && hedge_delivered && valid) valid(response);
       }
     }
     elapsed += cost;
@@ -139,13 +146,16 @@ bool KvExchange::exchange(
 std::optional<std::vector<Value>> KvExchange::exchange_values(
     ServerId server, std::string& request, std::string& response,
     bool with_versions, double& elapsed) {
+  // The validity check's parse is the result: the validator's last call
+  // always saw the frame exchange() kept.
+  std::optional<std::vector<Value>> values;
   const bool ok = exchange(server, request, response, elapsed,
-                           [with_versions](const std::string& resp) {
-                             return parse_values(resp, with_versions)
-                                 .has_value();
+                           [&values, with_versions](const std::string& resp) {
+                             values = parse_values(resp, with_versions);
+                             return values.has_value();
                            });
   if (!ok) return std::nullopt;
-  return parse_values(response, with_versions);
+  return values;
 }
 
 }  // namespace rnb::kv

@@ -83,7 +83,9 @@ class KvExchange {
   /// inside a traced operation it joins that trace, otherwise it roots its
   /// own). Success means the response in `response` was delivered, is
   /// non-empty (a zero-byte "response" is a dead peer, never a valid
-  /// frame), and passes `valid` when given. `allow_hedge` must be false
+  /// frame), and passes `valid` when given. `valid` may keep what it
+  /// derives from a frame (say, parsed views of it): on success its most
+  /// recent call was on `response` as returned. `allow_hedge` must be false
   /// for non-idempotent frames (CAS): a hedged duplicate that loses the
   /// race would report EXISTS for its own twin.
   bool exchange(ServerId server, std::string& request, std::string& response,

@@ -281,17 +281,33 @@ void append_tag_if_present(const TraceTag& trace, std::string& out) {
   format_trace_tag(trace, out);
 }
 
-}  // namespace
-
-void encode_get(const std::vector<std::string>& keys, bool with_versions,
-                std::string& out, const TraceTag& trace) {
+template <typename Keys>
+void format_get(const Keys& keys, bool with_versions, std::string& out,
+                const TraceTag& trace) {
   out += with_versions ? "gets" : "get";
-  for (const auto& k : keys) {
+  for (const std::string_view k : keys) {
     out += ' ';
     out += k;
   }
   append_tag_if_present(trace, out);
   out += kCrlf;
+}
+
+}  // namespace
+
+void encode_get(std::span<const std::string_view> keys, bool with_versions,
+                std::string& out, const TraceTag& trace) {
+  format_get(keys, with_versions, out, trace);
+}
+
+void encode_get(const std::vector<std::string>& keys, bool with_versions,
+                std::string& out, const TraceTag& trace) {
+  format_get(keys, with_versions, out, trace);
+}
+
+void encode_get(std::initializer_list<std::string_view> keys,
+                bool with_versions, std::string& out, const TraceTag& trace) {
+  format_get(keys, with_versions, out, trace);
 }
 
 void encode_set(std::string_view key, std::string_view data, bool pin,
@@ -413,32 +429,44 @@ void encode_simple(std::string_view token, std::string& out) {
   out += kCrlf;
 }
 
-std::optional<std::vector<Value>> parse_values(std::string_view frame,
-                                               bool with_versions) {
-  std::vector<Value> values;
+bool parse_value_views(std::string_view frame, bool with_versions,
+                       std::vector<ValueView>& out) {
+  out.clear();
   while (true) {
     const std::size_t eol = frame.find(kCrlf);
-    if (eol == std::string_view::npos) return std::nullopt;
+    if (eol == std::string_view::npos) return false;
     std::string_view line = frame.substr(0, eol);
     frame.remove_prefix(eol + kCrlf.size());
-    if (line == "END") return values;
+    if (line == "END") return true;
     const std::string_view tag = next_token(line);
-    if (tag != "VALUE") return std::nullopt;
-    Value v;
-    v.key = std::string(next_token(line));
+    if (tag != "VALUE") return false;
+    ValueView v;
+    v.key = next_token(line);
     std::size_t bytes = 0;
     if (v.key.empty() || !parse_int(next_token(line), v.flags) ||
         !parse_int(next_token(line), bytes))
-      return std::nullopt;
+      return false;
     if (with_versions && !parse_int(next_token(line), v.version))
-      return std::nullopt;
+      return false;
     if (frame.size() < bytes + kCrlf.size() ||
         frame.substr(bytes, kCrlf.size()) != kCrlf)
-      return std::nullopt;
-    v.data.assign(frame.substr(0, bytes));
+      return false;
+    v.data = frame.substr(0, bytes);
     frame.remove_prefix(bytes + kCrlf.size());
-    values.push_back(std::move(v));
+    out.push_back(v);
   }
+}
+
+std::optional<std::vector<Value>> parse_values(std::string_view frame,
+                                               bool with_versions) {
+  std::vector<ValueView> views;
+  if (!parse_value_views(frame, with_versions, views)) return std::nullopt;
+  std::vector<Value> values;
+  values.reserve(views.size());
+  for (const ValueView& v : views)
+    values.push_back(
+        Value{std::string(v.key), std::string(v.data), v.version, v.flags});
+  return values;
 }
 
 std::string_view parse_simple(std::string_view frame) {

@@ -52,7 +52,9 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -155,8 +157,16 @@ std::optional<Command> parse_command(std::string_view frame,
 /// Encoders for client use. All append to `out` to allow buffer reuse.
 /// A default-constructed (absent) TraceTag appends no tag token, so the
 /// output is byte-identical to the tagless encoders of old clients.
+///
+/// encode_get formats key views; the owning-string and braced-list forms
+/// share its one formatter and exist so callers never copy keys to call it.
+void encode_get(std::span<const std::string_view> keys, bool with_versions,
+                std::string& out, const TraceTag& trace = {});
 void encode_get(const std::vector<std::string>& keys, bool with_versions,
                 std::string& out, const TraceTag& trace = {});
+void encode_get(std::initializer_list<std::string_view> keys,
+                bool with_versions, std::string& out,
+                const TraceTag& trace = {});
 void encode_set(std::string_view key, std::string_view data, bool pin,
                 std::string& out, const TraceTag& trace = {});
 void encode_cas(std::string_view key, std::string_view data,
@@ -208,8 +218,23 @@ void encode_values(const std::vector<Value>& values, bool with_versions,
                    std::string& out);
 void encode_simple(std::string_view token, std::string& out);  // STORED etc.
 
-/// Parse a get/gets response ("VALUE ... END"). Returns nullopt on parse
-/// failure.
+/// One returned value as views into the response frame it was parsed from;
+/// valid only while that frame's bytes are.
+struct ValueView {
+  std::string_view key;
+  std::string_view data;
+  std::uint64_t version = 0;
+  std::uint32_t flags = 0;
+};
+
+/// Parse a get/gets response ("VALUE ... END") into `out` (cleared first)
+/// without copying keys or data. Returns false on parse failure, leaving
+/// `out` unspecified. This is the one VALUE-frame grammar; parse_values and
+/// parse_scan_page are built on it.
+bool parse_value_views(std::string_view frame, bool with_versions,
+                       std::vector<ValueView>& out);
+
+/// parse_value_views with owned copies. Returns nullopt on parse failure.
 std::optional<std::vector<Value>> parse_values(std::string_view frame,
                                                bool with_versions);
 

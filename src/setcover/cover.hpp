@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -27,11 +28,28 @@ struct CoverInstance {
   std::vector<std::vector<ServerId>> candidates;
 
   std::size_t num_items() const noexcept { return candidates.size(); }
+  std::span<const ServerId> candidates_of(std::size_t i) const noexcept {
+    return candidates[i];
+  }
 
   /// Items that must be covered for the instance to be satisfied; computed
   /// from a LIMIT fraction in [0,1]. fraction 1.0 -> all items.
   static std::size_t target_from_fraction(std::size_t num_items,
                                           double fraction);
+};
+
+/// The same instance laid out in one flat array, for callers that plan
+/// into reused buffers: item i's candidates are the first counts[i]
+/// entries of slots[i * stride, (i + 1) * stride).
+struct FlatCoverInstance {
+  std::span<const ServerId> slots;
+  std::span<const std::uint32_t> counts;
+  std::size_t stride = 0;
+
+  std::size_t num_items() const noexcept { return counts.size(); }
+  std::span<const ServerId> candidates_of(std::size_t i) const noexcept {
+    return slots.subspan(i * stride, counts[i]);
+  }
 };
 
 /// A solution: which server serves each item (kInvalidServer when the item

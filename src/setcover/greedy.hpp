@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "setcover/cover.hpp"
 
@@ -17,6 +19,24 @@ namespace rnb {
 /// Full greedy cover: covers every item (requires each item to have at least
 /// one candidate server).
 CoverResult greedy_cover(const CoverInstance& instance);
+
+/// Buffers the greedy loop reuses across calls: the servers the instance
+/// touches (ascending), a ServerId -> row lookup (all unset between
+/// calls), and one flat row of item bits per server. Not thread-safe; one
+/// per client.
+struct GreedyScratch {
+  std::vector<ServerId> servers;
+  std::vector<std::uint32_t> row_of;  // indexed by ServerId
+  std::vector<std::uint64_t> holds;   // servers.size() rows of item bits
+  std::vector<std::uint64_t> covered;
+  std::vector<std::uint8_t> picked;
+};
+
+/// greedy_cover over a flat instance, written into `out`. Same picks, same
+/// order, same assignment; allocates nothing once `scratch` and `out` have
+/// grown to the largest instance seen.
+void greedy_cover(const FlatCoverInstance& instance, CoverResult& out,
+                  GreedyScratch& scratch);
 
 /// Partial greedy cover: stop picking servers once at least `target` items
 /// are covered. Uncovered items get kInvalidServer in the assignment.

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dserve/server_group.hpp"
+#include "kv/kv_transport.hpp"
+#include "setcover/greedy.hpp"
 
 namespace rnb::dserve {
 namespace {
@@ -145,6 +148,87 @@ TEST(KvClusterClient, ReprobeRestoresServerAfterCrashWindow) {
   EXPECT_GE(group.view().down_marks(), 1u);   // the crash was observed
   EXPECT_GE(group.view().recoveries(), 1u);   // and the restore was too
   EXPECT_FALSE(group.view().is_down(0));
+}
+
+/// Forwards to the group, but every VALUE response from `poisoned` also
+/// carries a key its frame never asked for.
+class ExtraValueTransport final : public kv::KvTransport {
+ public:
+  ExtraValueTransport(kv::KvTransport& inner, ServerId poisoned)
+      : inner_(inner), poisoned_(poisoned) {}
+
+  ServerId num_servers() const noexcept override {
+    return inner_.num_servers();
+  }
+  kv::TransportResult roundtrip(ServerId s, std::string_view request,
+                                std::string& response) override {
+    const kv::TransportResult r = inner_.roundtrip(s, request, response);
+    if (r.ok() && s == poisoned_ && response.ends_with("END\r\n"))
+      response.insert(response.size() - 5, "VALUE intruder 0 1\r\nz\r\n");
+    return r;
+  }
+
+ private:
+  kv::KvTransport& inner_;
+  ServerId poisoned_;
+};
+
+TEST(KvClusterClient, UnrequestedKeyIsAMalformedResponseNotACrash) {
+  ServerGroup group(group_config(4));
+  const auto keys = make_keys(32, "extra");
+  group.load(keys, value_of, /*preinstall_replicas=*/true);
+  // Poison the server the cover picks first.
+  CoverInstance plan;
+  for (const std::string& key : keys)
+    plan.candidates.push_back(group.view().replicas(key));
+  const ServerId target = greedy_cover(plan).servers_used.front();
+  const auto connection = group.connect();
+  ExtraValueTransport poisoned(*connection, target);
+  KvClusterClientConfig config;
+  config.failure.max_attempts = 2;
+  KvClusterClient client(poisoned, group.view(), config);
+
+  // The target's answers fail validation on every attempt, so its bundle
+  // is retried, the server marked down, and its keys recovered elsewhere.
+  const auto result = client.multi_get(keys);
+  EXPECT_GE(client.failure_stats().malformed_responses, 2u);
+  EXPECT_GE(result.servers_marked_down, 1u);
+  EXPECT_TRUE(result.missing.empty());
+  EXPECT_EQ(result.values.size(), keys.size());
+  EXPECT_FALSE(result.values.contains("intruder"));
+  for (const std::string& key : keys) EXPECT_EQ(result.values.at(key), value_of(key));
+
+  // The single-key path applies the same check (it always tries the
+  // distinguished copy first, and the target holds some).
+  const std::uint64_t before = client.failure_stats().malformed_responses;
+  for (const std::string& key : keys) EXPECT_EQ(client.get(key), value_of(key));
+  EXPECT_GT(client.failure_stats().malformed_responses, before);
+}
+
+TEST(KvClusterClient, HedgedAnswersAreTheFramesTheValuesComeFrom) {
+  // Jittery, sometimes-truncating links make hedges fire and sometimes
+  // win. Values are parsed once, inside the validity check, so whichever
+  // frame the exchange keeps must be the one the values were read from.
+  ServerGroupConfig config = group_config(4);
+  config.fault_spec = "latency=0.001;jitter=0.004;trunc=0.05;seed=3";
+  ServerGroup group(config);
+  const auto keys = make_keys(48, "hedge");
+  group.load(keys, value_of, /*preinstall_replicas=*/true);
+  const auto connection = group.connect();
+  KvClusterClientConfig client_config;
+  client_config.hitchhiking = true;
+  client_config.failure.hedging = true;
+  client_config.failure.hedge_quantile = 0.5;
+  KvClusterClient client(*connection, group.view(), client_config);
+
+  for (int op = 0; op < 60; ++op) {
+    const auto result = client.multi_get(keys);
+    for (const auto& [key, value] : result.values)
+      ASSERT_EQ(value, value_of(key)) << "op " << op;
+    ASSERT_EQ(result.values.size() + result.missing.size(), keys.size());
+  }
+  EXPECT_GT(client.failure_stats().hedge_wins, 0u);
+  EXPECT_GT(client.failure_stats().malformed_responses, 0u);
 }
 
 TEST(KvClusterClient, HitchhikingAddsKeysWithoutTransactions) {

@@ -3,6 +3,11 @@
 // the server must answer *something* well-formed to any byte soup.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "kv/kv_server.hpp"
 #include "kv/protocol.hpp"
@@ -29,6 +34,23 @@ std::string random_bytes(Xoshiro256& rng, std::size_t max_len) {
   for (std::size_t i = 0; i < len; ++i)
     bytes.push_back(static_cast<char>(rng.below(256)));
   return bytes;
+}
+
+/// parse_value_views and parse_values accept exactly the same frames and
+/// agree field for field.
+void expect_same_value_parse(std::string_view frame, bool versions) {
+  std::vector<ValueView> views;
+  const bool ok = parse_value_views(frame, versions, views);
+  const auto values = parse_values(frame, versions);
+  ASSERT_EQ(ok, values.has_value()) << "frame: " << frame;
+  if (!ok) return;
+  ASSERT_EQ(views.size(), values->size()) << "frame: " << frame;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(views[i].key, (*values)[i].key);
+    ASSERT_EQ(views[i].data, (*values)[i].data);
+    ASSERT_EQ(views[i].version, (*values)[i].version);
+    ASSERT_EQ(views[i].flags, (*values)[i].flags);
+  }
 }
 
 TEST(ProtocolFuzz, RandomSetCommandsRoundtrip) {
@@ -74,6 +96,7 @@ TEST(ProtocolFuzz, RandomValueResponsesRoundtrip) {
       values.push_back(Value{random_key(rng), random_bytes(rng, 100), rng()});
     std::string frame;
     encode_values(values, true, frame);
+    expect_same_value_parse(frame, true);
     const auto parsed = parse_values(frame, true);
     ASSERT_TRUE(parsed.has_value());
     ASSERT_EQ(parsed->size(), values.size());
@@ -92,8 +115,82 @@ TEST(ProtocolFuzz, GarbageNeverCrashesParser) {
     std::string error;
     // Must not crash or hang; may or may not parse.
     (void)parse_command(garbage, &error);
-    (void)parse_values(garbage, rng.chance(0.5));
+    expect_same_value_parse(garbage, rng.chance(0.5));
     (void)parse_simple(garbage);
+  }
+}
+
+/// VALUE frames of every shape a client reads: hits with and without
+/// versions, empty data, data embedding CRLFs and a fake VALUE line, a bare
+/// END, and a scan page with flags.
+std::vector<std::pair<std::string, bool>> representative_value_frames() {
+  std::vector<std::pair<std::string, bool>> frames;
+  std::string f;
+  encode_values({{"alpha", "0123456789", 0}}, false, f);
+  frames.emplace_back(std::exchange(f, {}), false);
+  encode_values({{"a", "x", 7}, {"bb", "", 8}, {"ccc", "yz", 9}}, true, f);
+  frames.emplace_back(std::exchange(f, {}), true);
+  encode_values({{"tricky", "\r\nVALUE fake 0 3\r\nEND\r\n", 0}}, false, f);
+  frames.emplace_back(std::exchange(f, {}), false);
+  encode_values({}, false, f);
+  frames.emplace_back(std::exchange(f, {}), false);
+  ScanPage page;
+  page.next_cursor = 42;
+  page.entries = {{"pinned", "p", 0, kValueFlagPinned}, {"plain", "q", 0, 0}};
+  encode_scan_page(page, f);
+  frames.emplace_back(std::exchange(f, {}), false);
+  return frames;
+}
+
+TEST(ProtocolFuzz, ValueViewsMatchOwnedParseAtEveryByteOffset) {
+  // Cut each frame at every byte offset, and separately overwrite each
+  // byte with characters the grammar cares about: both parsers must
+  // accept the same results and agree on every field.
+  for (const auto& [frame, versions] : representative_value_frames()) {
+    expect_same_value_parse(frame, versions);
+    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
+      expect_same_value_parse(std::string_view(frame).substr(0, cut),
+                              versions);
+      expect_same_value_parse(std::string_view(frame).substr(cut), versions);
+    }
+    for (std::size_t at = 0; at < frame.size(); ++at)
+      for (const char c : {' ', '\r', '\n', '0', '9', 'x', '\0'}) {
+        std::string mutated = frame;
+        mutated[at] = c;
+        expect_same_value_parse(mutated, versions);
+        expect_same_value_parse(mutated, !versions);
+      }
+  }
+}
+
+TEST(ProtocolFuzz, ValueViewsMatchOwnedParseOnMalformedFrames) {
+  const std::vector<std::string> table = {
+      "",
+      "END",
+      "END\r",
+      "END\r\nEND\r\n",
+      "VALUE\r\nEND\r\n",
+      "VALUE k\r\nEND\r\n",
+      "VALUE k 0\r\nEND\r\n",
+      "VALUE k x 1\r\nz\r\nEND\r\n",
+      "VALUE k 0 x\r\nz\r\nEND\r\n",
+      "VALUE k 0 -1\r\nz\r\nEND\r\n",
+      "VALUE k 0 2\r\nz\r\nEND\r\n",
+      "VALUE k 0 1\r\nzz\r\nEND\r\n",
+      "VALUE k 0 1\r\nz\r\n",
+      "VALUE k 0 1\r\nz\r\nEN\r\n",
+      "VALUE k 0 1 5\r\nz\r\nEND\r\n",
+      "VALUE k 0 1\r\nz\r\nVALUE\r\nEND\r\n",
+      "VALUE  k  0  1\r\nz\r\nEND\r\n",
+      "value k 0 1\r\nz\r\nEND\r\n",
+      "WRONG_EPOCH 3\r\n",
+      "STORED\r\n",
+      "SERVER_ERROR out of memory\r\n",
+      std::string("VALUE k 0 1\r\n\0\r\nEND\r\n", 21),
+  };
+  for (const std::string& frame : table) {
+    expect_same_value_parse(frame, false);
+    expect_same_value_parse(frame, true);
   }
 }
 
