@@ -162,7 +162,8 @@ StrategyResult run_strategy(ServerGroup& group, const Params& p,
       Xoshiro256 rng(p.seed * 0x9E3779B97F4A7C15ull + tid + 1);
       const ZipfSampler zipf(p.keys, p.zipf);
       std::vector<std::string> batch(p.batch);
-      std::string request;
+      std::vector<std::string> frames;
+      std::vector<kv::KvExchange::Pending> txns;
       std::string response;
       const auto build = [&] {
         for (auto& key : batch) key = universe[zipf(rng)];
@@ -188,13 +189,25 @@ StrategyResult run_strategy(ServerGroup& group, const Params& p,
           std::unordered_map<ServerId, std::vector<std::string>> by_server;
           for (const std::string& key : batch)
             by_server[group.view().distinguished(key)].push_back(key);
-          double elapsed = 0.0;
+          // One wave, like rnb's: every MGET goes out before the first
+          // reply is read, so naive vs rnb compares bundling, not
+          // concurrency.
+          if (frames.size() < by_server.size()) {
+            frames.resize(by_server.size());
+            txns.resize(by_server.size());
+          }
+          std::size_t n = 0;
           for (auto& [server, keys] : by_server) {
+            frames[n].clear();
+            kv::encode_get(keys, /*with_versions=*/false, frames[n]);
+            naive_exchange.begin(txns[n], server, frames[n]);
+            ++n;
+          }
+          double elapsed = 0.0;
+          for (std::size_t j = 0; j < n; ++j) {
             ++acc.wire_txns;
-            request.clear();
-            kv::encode_get(keys, /*with_versions=*/false, request);
-            const auto values = naive_exchange.exchange_values(
-                server, request, response, /*with_versions=*/false, elapsed);
+            const auto values = naive_exchange.finish_values(
+                txns[j], response, /*with_versions=*/false, elapsed);
             if (values) acc.items_returned += values->size();
           }
         }

@@ -96,13 +96,24 @@ struct KvClusterClient::Scratch {
   ServerLists bundles;
   ServerLists hitchhikers;
 
-  // The open bundle: its stamp and the keys of the frame being sent.
+  // The open bundle: the stamp accept() checks items against, and the keys
+  // of the frame being encoded.
   std::uint64_t bundle = 0;
   std::vector<std::string_view> keys;
   // What accept() made of the frame fetch() kept.
   std::vector<kv::ValueView> views;
   std::vector<std::uint32_t> view_items;
   bool bounced = false;
+
+  // The wave in flight: a frame and a begun transaction per bundle, and
+  // round 2's servers. Round 2's write-backs for one reply have their own
+  // frames and tickets: they go out while later round-2 frames are still
+  // in flight.
+  std::vector<std::string> frames;
+  std::vector<kv::KvExchange::Pending> txns;
+  std::vector<ServerId> round2;
+  std::vector<std::string> writebacks;
+  std::vector<kv::Ticket> writeback_tickets;
 
   /// Deduplicate `requested` into items; returns the item count.
   template <typename Keys>
@@ -184,14 +195,35 @@ struct KvClusterClient::Scratch {
             stride};
   }
 
-  void open_bundle() {
-    ++bundle;
-    keys.clear();
+  /// Room for an n-frame wave. Only between waves: in-flight tickets
+  /// point into `frames`.
+  void ready(std::size_t n) {
+    if (frames.size() >= n) return;
+    frames.resize(n);
+    txns.resize(n);
   }
 
-  void add(std::uint32_t i) {
-    bundle_of[i] = bundle;
-    keys.push_back(items[i]);
+  /// `srv`'s bundle as keys: its list in `bundles`, then its hitchhikers
+  /// in `extra` when given.
+  void bundle_keys(ServerId srv, const ServerLists* extra) {
+    keys.clear();
+    bundles.for_each(srv, [&](std::uint32_t i) { keys.push_back(items[i]); });
+    if (extra != nullptr)
+      extra->for_each(srv, [&](std::uint32_t i) { keys.push_back(items[i]); });
+  }
+
+  /// Stamp `srv`'s bundle as the open one, for accept(). Returns its
+  /// hitchhiker count.
+  std::uint32_t open_bundle(ServerId srv, const ServerLists* extra) {
+    ++bundle;
+    bundles.for_each(srv, [&](std::uint32_t i) { bundle_of[i] = bundle; });
+    std::uint32_t riders = 0;
+    if (extra != nullptr)
+      extra->for_each(srv, [&](std::uint32_t i) {
+        bundle_of[i] = bundle;
+        ++riders;
+      });
+    return riders;
   }
 };
 
@@ -209,11 +241,11 @@ KvClusterClient::KvClusterClient(kv::KvTransport& transport, ClusterView& view,
 
 KvClusterClient::~KvClusterClient() = default;
 
-bool KvClusterClient::exchange(
-    ServerId server, double& elapsed,
-    const std::function<bool(const std::string&)>& valid, bool allow_hedge) {
-  const bool ok = exchange_.exchange(server, request_, response_, elapsed,
-                                     valid, allow_hedge);
+bool KvClusterClient::finish(
+    kv::KvExchange::Pending& txn, double& elapsed,
+    const std::function<bool(const std::string&)>& valid) {
+  const ServerId server = txn.ticket.server;
+  const bool ok = exchange_.finish(txn, response_, elapsed, valid);
   if (ok && view_.marked(server)) view_.mark_up(server);
   return ok;
 }
@@ -237,16 +269,12 @@ bool KvClusterClient::accept(const std::string& frame) {
   return s.bounced;
 }
 
-KvClusterClient::Fetch KvClusterClient::fetch(ServerId server,
+KvClusterClient::Fetch KvClusterClient::fetch(kv::KvExchange::Pending& txn,
                                               double& elapsed) {
-  if (!exchange(server, elapsed,
-                [this](const std::string& frame) { return accept(frame); }))
+  if (!finish(txn, elapsed,
+              [this](const std::string& frame) { return accept(frame); }))
     return Fetch::kFailed;
   return scratch_->bounced ? Fetch::kStale : Fetch::kValues;
-}
-
-void KvClusterClient::tag_epoch(std::uint64_t epoch) {
-  kv::append_epoch_tag(request_, epoch);
 }
 
 std::span<const ServerId> KvClusterClient::replicas_of(
@@ -263,23 +291,33 @@ std::uint32_t KvClusterClient::set(std::string_view key,
   const std::uint64_t op_started = view_.ops();
   double elapsed = 0.0;
   std::uint32_t stored = 0;
+  Scratch& s = *scratch_;
   // One bounded replan: a WRONG_EPOCH bounce means the view moved under
   // us; take a fresh snapshot once and redo the bounced writes (a re-set
   // is idempotent, so redoing acked replicas is harmless).
   for (int plan = 0; plan < 2; ++plan) {
     const ClusterView::Snapshot placement = view_.snapshot();
     const std::span<const ServerId> servers = replicas_of(placement, key);
+    const std::size_t n = servers.size();
     bool bounced = false;
     stored = 0;
-    for (std::size_t r = 0; r < servers.size(); ++r) {
+    // Every replica's write goes out before the first ack is read; the
+    // acks are read in replica order.
+    s.ready(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      std::string& frame = s.frames[r];
+      frame.clear();
+      kv::encode_set(key, value, /*pin=*/r == 0, frame);
+      kv::append_epoch_tag(frame, placement.epoch());
+      exchange_.begin(s.txns[r], servers[r], frame);
+    }
+    for (std::size_t r = 0; r < n; ++r) {
       if (r > 0 && exchange_.deadline_exceeded(elapsed)) {
+        for (; r < n; ++r) exchange_.cancel(s.txns[r]);
         ++exchange_.stats().deadline_misses;
         return stored;
       }
-      request_.clear();
-      kv::encode_set(key, value, /*pin=*/r == 0, request_);
-      tag_epoch(placement.epoch());
-      if (!exchange(servers[r], elapsed)) {
+      if (!finish(s.txns[r], elapsed)) {
         view_.mark_down(servers[r], op_started);
         continue;
       }
@@ -307,12 +345,14 @@ std::optional<std::string> KvClusterClient::get(std::string_view key) {
     const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
     for (std::size_t r = 0; r < servers.size() && !bounced; ++r) {
-      s.open_bundle();
-      s.add(0);
-      request_.clear();
-      kv::encode_get(s.keys, /*with_versions=*/false, request_);
-      tag_epoch(placement.epoch());
-      const Fetch got = fetch(servers[r], elapsed);
+      s.ready(1);
+      s.bundle_of[0] = ++s.bundle;
+      std::string& frame = s.frames[0];
+      frame.clear();
+      kv::encode_get({key}, /*with_versions=*/false, frame);
+      kv::append_epoch_tag(frame, placement.epoch());
+      exchange_.begin(s.txns[0], servers[r], frame);
+      const Fetch got = fetch(s.txns[0], elapsed);
       if (got == Fetch::kValues) {
         if (!s.views.empty()) return std::string(s.views.front().data);
         if (r == 0) return std::nullopt;  // distinguished miss: key absent
@@ -409,39 +449,55 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     s.satisfied[s.view_items[k]] = 1;
   };
 
-  // One bundled get under the failure policy: `srv`'s list in s.bundles,
-  // plus its hitchhikers when given. Items whose bundle dies (server
-  // failure or epoch bounce) are stranded for the recover rounds; a server
-  // that eats every attempt is marked down in the shared view. On kValues
-  // the response's values are stored and still parsed in s.views.
-  const auto bundled_get = [&](ServerId srv, const ServerLists* extra,
-                               std::uint32_t& txn_counter) {
-    s.open_bundle();
-    s.bundles.for_each(srv, [&](std::uint32_t i) { s.add(i); });
-    if (extra != nullptr)
-      extra->for_each(srv, [&](std::uint32_t i) {
-        s.add(i);
-        ++result.hitchhiker_keys;
-      });
-    request_.clear();
-    kv::encode_get(s.keys, /*with_versions=*/false, request_);
-    tag_epoch(op_epoch);
-    ++txn_counter;
-    contact(srv);
-    const Fetch got = fetch(srv, elapsed);
-    const std::uint8_t stranded = got == Fetch::kValues ? 0 : 1;
-    s.bundles.for_each(srv, [&](std::uint32_t i) { s.stranded[i] = stranded; });
-    if (got == Fetch::kStale) {
-      // Healthy server, old ring: strand the keys for a re-plan but leave
-      // the server's health alone.
-      stale_view = true;
-    } else if (got == Fetch::kFailed) {
-      fail(srv);
-    } else {
-      for (std::size_t k = 0; k < s.views.size(); ++k) store(k);
+  // One wave of bundled gets under the failure policy, one per server in
+  // `servers`: srv's list in s.bundles, plus its hitchhikers when given.
+  // Every frame is issued before the first reply is read; the replies are
+  // then finished in the same order, out_of_time() before each, and a
+  // deadline cut cancels the rest. Items whose bundle dies (server failure
+  // or epoch bounce) are stranded for the recover rounds; a server that
+  // eats every attempt is marked down in the shared view. On kValues the
+  // response's values are stored and still parsed in s.views when
+  // `after(got)` runs.
+  const auto run_wave = [&](std::span<const ServerId> servers,
+                            const ServerLists* extra,
+                            std::uint32_t& txn_counter, auto&& after) {
+    if (out_of_time()) return;
+    const std::size_t n = servers.size();
+    s.ready(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      s.bundle_keys(servers[j], extra);
+      std::string& frame = s.frames[j];
+      frame.clear();
+      kv::encode_get(s.keys, /*with_versions=*/false, frame);
+      kv::append_epoch_tag(frame, op_epoch);
+      exchange_.begin(s.txns[j], servers[j], frame);
     }
-    return got;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (out_of_time()) {
+        for (; j < n; ++j) exchange_.cancel(s.txns[j]);
+        break;
+      }
+      const ServerId srv = servers[j];
+      result.hitchhiker_keys += s.open_bundle(srv, extra);
+      ++txn_counter;
+      contact(srv);
+      const Fetch got = fetch(s.txns[j], elapsed);
+      const std::uint8_t stranded = got == Fetch::kValues ? 0 : 1;
+      s.bundles.for_each(srv,
+                         [&](std::uint32_t i) { s.stranded[i] = stranded; });
+      if (got == Fetch::kStale) {
+        // Healthy server, old ring: strand the keys for a re-plan but leave
+        // the server's health alone.
+        stale_view = true;
+      } else if (got == Fetch::kFailed) {
+        fail(srv);
+      } else {
+        for (std::size_t k = 0; k < s.views.size(); ++k) store(k);
+      }
+      after(got);
+    }
   };
+  const auto nothing_after = [](Fetch) {};
 
   // Round 1 bundles, and hitchhikers: covered keys appended to
   // transactions whose server also holds one of their replicas (zero extra
@@ -464,11 +520,9 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     wave_span.note("kind", "round1");
     wave_span.arg("transactions",
                   static_cast<std::int64_t>(s.cover.servers_used.size()));
-    for (const ServerId srv : s.cover.servers_used) {
-      if (out_of_time()) break;
-      bundled_get(srv, config_.hitchhiking ? &s.hitchhikers : nullptr,
-                  result.round1_transactions);
-    }
+    run_wave(s.cover.servers_used,
+             config_.hitchhiking ? &s.hitchhikers : nullptr,
+             result.round1_transactions, nothing_after);
   }
 
   // Recover rounds: items stranded on a failed server get the cover re-run
@@ -509,10 +563,8 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
       s.assignment[s.pool[j]] = s.cover.assignment[j];
       s.bundles.push(s.cover.assignment[j], s.pool[j]);
     }
-    for (const ServerId srv : s.cover.servers_used) {
-      if (out_of_time()) break;
-      bundled_get(srv, nullptr, result.recover_transactions);
-    }
+    run_wave(s.cover.servers_used, nullptr, result.recover_transactions,
+             nothing_after);
   }
 
   // Round 2: bundled fallbacks for evicted replicas — the distinguished
@@ -538,28 +590,36 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     obs::SpanScope wave_span("wave", "kv_client");
     wave_span.note("kind", "round2");
     wave_span.arg("transactions", fallback_servers);
-    // Ascending server id.
-    for (ServerId srv = 0; srv < s.servers; ++srv) {
-      if (s.bundles.empty(srv)) continue;
-      if (out_of_time()) break;
-      // A bounce this late stays unrecovered (recover rounds are spent);
-      // the keys report missing rather than risk an unbounded loop.
-      if (bundled_get(srv, nullptr, result.round2_transactions) !=
-              Fetch::kValues ||
-          !config_.write_back_misses)
-        continue;
+    // Ascending server id. A bounce this late stays unrecovered (recover
+    // rounds are spent); the keys report missing rather than risk an
+    // unbounded loop.
+    s.round2.clear();
+    for (ServerId srv = 0; srv < s.servers; ++srv)
+      if (!s.bundles.empty(srv)) s.round2.push_back(srv);
+    run_wave(s.round2, nullptr, result.round2_transactions, [&](Fetch got) {
+      if (got != Fetch::kValues || !config_.write_back_misses) return;
       // Re-install the replica round 1 expected (write-back rule) —
-      // best-effort: a lost write-back only costs a future round 2.
+      // best-effort: a lost write-back only costs a future round 2. This
+      // reply's write-backs go out together and are all acked before the
+      // next round-2 reply is read.
+      if (s.writebacks.size() < s.views.size()) {
+        s.writebacks.resize(s.views.size());
+        s.writeback_tickets.resize(s.views.size());
+      }
+      std::size_t n = 0;
       for (std::size_t k = 0; k < s.views.size(); ++k) {
         const ServerId home = s.assignment[s.view_items[k]];
         if (unreachable(home)) continue;
-        request_.clear();
+        std::string& frame = s.writebacks[n];
+        frame.clear();
         kv::encode_set(s.views[k].key, s.views[k].data, /*pin=*/false,
-                       request_);
-        tag_epoch(op_epoch);
-        transport_.roundtrip(home, request_, ack_);
+                       frame);
+        kv::append_epoch_tag(frame, op_epoch);
+        s.writeback_tickets[n++] = transport_.issue(home, frame);
       }
-    }
+      for (std::size_t j = 0; j < n; ++j)
+        transport_.collect(s.writeback_tickets[j], ack_);
+    });
   }
 
   for (std::size_t i = 0; i < m; ++i)
@@ -596,21 +656,34 @@ bool KvClusterClient::remove(std::string_view key) {
   view_.tick();
   bool existed = false;
   double elapsed = 0.0;
+  Scratch& s = *scratch_;
   // One bounded replan on a WRONG_EPOCH bounce (deletes are idempotent).
   for (int plan = 0; plan < 2; ++plan) {
     const ClusterView::Snapshot placement = view_.snapshot();
     const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
-    // Distinguished copy last: a concurrent reader that misses a replica
-    // falls back to the distinguished copy, so it must outlive the others.
-    for (std::size_t r = servers.size(); r-- > 0;) {
-      request_.clear();
-      kv::encode_delete(key, request_);
-      tag_epoch(placement.epoch());
-      if (!exchange(servers[r], elapsed)) continue;
+    s.ready(servers.size());
+    const auto send = [&](std::size_t r) {
+      std::string& frame = s.frames[r];
+      frame.clear();
+      kv::encode_delete(key, frame);
+      kv::append_epoch_tag(frame, placement.epoch());
+      exchange_.begin(s.txns[r], servers[r], frame);
+    };
+    const auto answer = [&](std::size_t r) {
+      if (!finish(s.txns[r], elapsed)) return;
       if (kv::parse_wrong_epoch(response_).has_value()) bounced = true;
       if (r == 0) existed = kv::parse_simple(response_) == "DELETED";
-    }
+    };
+    // Distinguished copy last: a concurrent reader that misses a replica
+    // falls back to the distinguished copy, so it must outlive the others.
+    // The other deletes go out together, and all are answered before the
+    // distinguished one is sent.
+    for (std::size_t r = servers.size(); r-- > 1;) send(r);
+    for (std::size_t r = servers.size(); r-- > 1;) answer(r);
+    if (exchange_.deadline_exceeded(elapsed)) break;
+    send(0);
+    answer(0);
     if (!bounced) break;
   }
   return existed;

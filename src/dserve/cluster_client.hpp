@@ -118,19 +118,18 @@ class KvClusterClient {
   struct Scratch;
   enum class Fetch { kValues, kStale, kFailed };
 
-  bool exchange(ServerId server, double& elapsed,
-                const std::function<bool(const std::string&)>& valid = {},
-                bool allow_hedge = true);
-  /// Send the pending get frame, whose keys are the scratch's open bundle.
-  /// kValues leaves the response's values parsed in the scratch; kStale is
-  /// a WRONG_EPOCH bounce (a healthy answer: never retried, never a down
+  /// Finish a begun transaction into response_; a success clears the
+  /// server's down mark.
+  bool finish(kv::KvExchange::Pending& txn, double& elapsed,
+              const std::function<bool(const std::string&)>& valid = {});
+  /// Finish a begun get whose keys are the scratch's open bundle. kValues
+  /// leaves the response's values parsed in the scratch; kStale is a
+  /// WRONG_EPOCH bounce (a healthy answer: never retried, never a down
   /// mark — the caller refreshes and re-plans).
-  Fetch fetch(ServerId server, double& elapsed);
+  Fetch fetch(kv::KvExchange::Pending& txn, double& elapsed);
   /// The validity check fetch() runs on each delivered frame: a VALUE
   /// frame naming only keys of the open bundle, or a WRONG_EPOCH bounce.
   bool accept(const std::string& frame);
-  /// Tag the pending request with the operation's epoch (no-op for 0).
-  void tag_epoch(std::uint64_t epoch);
   /// `key`'s replicas under `placement`, in a scratch buffer.
   std::span<const ServerId> replicas_of(const ClusterView::Snapshot& placement,
                                         std::string_view key);
@@ -138,8 +137,8 @@ class KvClusterClient {
   kv::KvTransport& transport_;
   ClusterView& view_;
   KvClusterClientConfig config_;
-  // Reused I/O buffers; one client per thread, like RnbKvClient.
-  std::string request_;
+  // Reused reply buffers; one client per thread, like RnbKvClient. The
+  // request frames live in the scratch.
   std::string response_;
   std::string ack_;
   kv::KvExchange exchange_;

@@ -1,9 +1,6 @@
 #include "dserve/server_group.hpp"
 
-#include <chrono>
 #include <limits>
-#include <mutex>
-#include <stdexcept>
 
 #include "common/error.hpp"
 #include "kv/protocol.hpp"
@@ -18,6 +15,11 @@ constexpr std::size_t kUnlimitedBudget = std::size_t{1} << 44;
 // Mirrors MemTable::entry_cost's fixed overhead (kv/memtable.hpp): item
 // header + hash chain pointers. Kept in sync by ServerGroupTest.
 constexpr std::size_t kEntryOverhead = 48;
+
+// Keys whose stores load() issues before it reads their acks. Small
+// enough that a window's acks always fit in a socket buffer, so a blocking
+// server never stalls writing acks the loader is not reading yet.
+constexpr std::size_t kLoadWindow = 64;
 
 /// Non-owning forwarder onto the group's shared in-process fleet, so every
 /// loopback GroupConnection can own its transport like a TCP one does.
@@ -64,64 +66,6 @@ class ElasticLoopbackForwarder final : public kv::KvTransport {
  private:
   kv::ShardedLoopbackTransport& fleet_;
   std::span<const std::atomic<bool>> active_;
-};
-
-/// TCP transport for elastic groups. Unlike TcpClientTransport's fixed
-/// endpoint set, slots are the fleet *capacity*: a slot connects lazily
-/// the first time it is addressed (a joiner's port only exists after
-/// start_server), and a dead or stopped peer reports kServerDown instead
-/// of throwing — elastic clients must survive servers leaving.
-class ElasticTcpTransport final : public kv::KvTransport {
- public:
-  ElasticTcpTransport(kv::TcpFleet& fleet,
-                      std::span<const std::atomic<bool>> active,
-                      ServerId capacity)
-      : fleet_(fleet), active_(active), slots_(capacity) {}
-
-  ServerId num_servers() const noexcept override {
-    return static_cast<ServerId>(slots_.size());
-  }
-
-  kv::TransportResult roundtrip(ServerId s, std::string_view request,
-                                std::string& response) override {
-    response.clear();
-    if (s >= slots_.size()) return {kv::TransportStatus::kServerDown, 0.0};
-    Slot& slot = slots_[s];
-    const std::lock_guard lock(slot.mu);
-    if (!active_[s].load(std::memory_order_relaxed)) {
-      slot.connection.reset();
-      return {kv::TransportStatus::kServerDown, 0.0};
-    }
-    try {
-      if (slot.connection == nullptr) {
-        if (s >= fleet_.num_servers())
-          return {kv::TransportStatus::kServerDown, 0.0};
-        slot.connection =
-            std::make_unique<kv::TcpKvConnection>(fleet_.port(s));
-      }
-      const auto start = std::chrono::steady_clock::now();
-      slot.connection->roundtrip(request, response);
-      const std::chrono::duration<double> wall =
-          std::chrono::steady_clock::now() - start;
-      return {kv::TransportStatus::kOk, wall.count()};
-    } catch (const std::runtime_error&) {
-      // Connect refused or peer closed mid-exchange (a leaving server);
-      // drop the connection so a later attempt re-dials fresh.
-      slot.connection.reset();
-      response.clear();
-      return {kv::TransportStatus::kServerDown, 0.0};
-    }
-  }
-
- private:
-  struct Slot {
-    std::mutex mu;
-    std::unique_ptr<kv::TcpKvConnection> connection;
-  };
-
-  kv::TcpFleet& fleet_;
-  std::span<const std::atomic<bool>> active_;
-  std::vector<Slot> slots_;
 };
 
 elastic::MemberRingConfig ring_config(const ServerGroupConfig& config) {
@@ -233,16 +177,13 @@ kv::WireServer& ServerGroup::wire_server(ServerId s) {
 }
 
 std::unique_ptr<kv::KvTransport> ServerGroup::make_wire() {
-  if (elastic()) {
-    if (loopback_ != nullptr)
-      return std::make_unique<ElasticLoopbackForwarder>(
-          *loopback_, std::span<const std::atomic<bool>>(active_));
-    return std::make_unique<ElasticTcpTransport>(
-        *tcp_, std::span<const std::atomic<bool>>(active_), capacity());
-  }
-  if (loopback_ != nullptr)
-    return std::make_unique<LoopbackForwarder>(*loopback_);
-  return std::make_unique<kv::TcpClientTransport>(tcp_->ports());
+  const std::span<const std::atomic<bool>> active(active_);
+  if (tcp_ != nullptr)
+    return std::make_unique<kv::TcpClientTransport>(*tcp_, active,
+                                                    capacity());
+  if (elastic())
+    return std::make_unique<ElasticLoopbackForwarder>(*loopback_, active);
+  return std::make_unique<LoopbackForwarder>(*loopback_);
 }
 
 std::unique_ptr<GroupConnection> ServerGroup::connect() {
@@ -256,19 +197,33 @@ ServerGroup::LoadStats ServerGroup::load(
     bool preinstall_replicas) {
   const std::unique_ptr<kv::KvTransport> wire = make_wire();
   LoadStats stats;
-  std::string request;
+  // A window of keys' stores is issued before any of their acks is read:
+  // over TCP the window costs about one roundtrip per server, not one per
+  // copy. In-process wires keep the lazy default, one roundtrip per copy.
+  const std::size_t copies = preinstall_replicas ? view_.replication() : 1;
+  std::vector<std::string> frames(kLoadWindow * copies);
+  std::vector<kv::Ticket> tickets(frames.size());
+  std::vector<std::uint8_t> pinned(frames.size());
   std::string response;
-  for (const std::string& key : keys) {
-    const std::string value = value_of(key);
-    const std::vector<ServerId> servers = view_.replicas(key);
-    const std::size_t copies = preinstall_replicas ? servers.size() : 1;
-    ++stats.keys;
-    for (std::size_t r = 0; r < copies; ++r) {
-      request.clear();
-      kv::encode_set(key, value, /*pin=*/r == 0, request);
-      wire->roundtrip(servers[r], request, response);
+  for (std::size_t first = 0; first < keys.size(); first += kLoadWindow) {
+    const std::size_t last = std::min(keys.size(), first + kLoadWindow);
+    std::size_t n = 0;
+    for (std::size_t k = first; k < last; ++k) {
+      const std::string& key = keys[k];
+      const std::string value = value_of(key);
+      const std::vector<ServerId> servers = view_.replicas(key);
+      ++stats.keys;
+      for (std::size_t r = 0; r < copies; ++r, ++n) {
+        frames[n].clear();
+        kv::encode_set(key, value, /*pin=*/r == 0, frames[n]);
+        pinned[n] = r == 0;
+        tickets[n] = wire->issue(servers[r], frames[n]);
+      }
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      wire->collect(tickets[j], response);
       if (kv::parse_simple(response) == "STORED")
-        ++(r == 0 ? stats.pinned : stats.replicas);
+        ++(pinned[j] != 0 ? stats.pinned : stats.replicas);
       else
         ++stats.rejected;
     }

@@ -90,6 +90,14 @@ class GroupConnection final : public kv::KvTransport {
                                 std::string& response) override {
     return top_->roundtrip(s, request, response);
   }
+  kv::Ticket issue(ServerId s, std::string_view frame) override {
+    return top_->issue(s, frame);
+  }
+  kv::TransportResult collect(const kv::Ticket& ticket,
+                              std::string& response) override {
+    return top_->collect(ticket, response);
+  }
+  void cancel(const kv::Ticket& ticket) override { top_->cancel(ticket); }
 
   /// The fault decorator, when the group injects faults (else nullptr) —
   /// benches read per-connection fault stats here.
@@ -181,7 +189,9 @@ class ServerGroup {
   /// logical replica is stored evictable (unlimited-memory regime) —
   /// otherwise replicas start cold and are filled by client write-backs
   /// (limited regime). Runs on a clean internal connection: preload never
-  /// sees injected faults, mirroring the simulators' populate step.
+  /// sees injected faults, mirroring the simulators' populate step. Over
+  /// TCP, stores go out a window of keys at a time before their acks are
+  /// read.
   LoadStats load(std::span<const std::string> keys,
                  const std::function<std::string(std::string_view)>& value_of,
                  bool preinstall_replicas);

@@ -53,23 +53,49 @@ void KvExchange::observe_latency(double latency) {
   latency_window_[latency_next_++] = latency;
 }
 
+void KvExchange::begin(Pending& txn, ServerId server, std::string& request) {
+  // Inside a multi_get the transaction joins the request's trace; a bare
+  // single-key operation roots its own, so every frame that leaves the
+  // client carries an identity whenever a tracer is installed.
+  txn.span.open("transaction", "kv_client",
+                obs::Tracer::ambient_context().valid()
+                    ? obs::SpanKind::kChild
+                    : obs::SpanKind::kRoot);
+  txn.span.arg("server", static_cast<std::int64_t>(server));
+  const obs::TraceContext ctx = txn.span.context();
+  if (ctx.valid())
+    append_trace_tag(request,
+                     TraceTag{ctx.trace_id, ctx.span_id, ctx.sampled});
+  txn.ticket = transport_.issue(server, request);
+}
+
+void KvExchange::cancel(Pending& txn) {
+  transport_.cancel(txn.ticket);
+  txn.span.note("outcome", "cancelled");
+  txn.span.close();
+}
+
 bool KvExchange::exchange(
     ServerId server, std::string& request, std::string& response,
     double& elapsed, const std::function<bool(const std::string&)>& valid,
     bool allow_hedge) {
+  // Nothing goes out once the deadline has passed: a late CAS would land
+  // while its caller reports it failed.
+  if (deadline_exceeded(elapsed)) return false;
+  Pending txn;
+  begin(txn, server, request);
+  return finish(txn, response, elapsed, valid, allow_hedge);
+}
+
+bool KvExchange::finish(Pending& txn, std::string& response, double& elapsed,
+                        const std::function<bool(const std::string&)>& valid,
+                        bool allow_hedge) {
   const KvFailurePolicy& fp = policy_;
-  // Inside a multi_get the transaction joins the request's trace; a bare
-  // single-key operation roots its own, so every frame that leaves the
-  // client carries an identity whenever a tracer is installed.
-  obs::SpanScope txn_span("transaction", "kv_client",
-                          obs::Tracer::ambient_context().valid()
-                              ? obs::SpanScope::Kind::kChild
-                              : obs::SpanScope::Kind::kRoot);
-  txn_span.arg("server", static_cast<std::int64_t>(server));
-  const obs::TraceContext ctx = txn_span.context();
-  if (ctx.valid())
-    append_trace_tag(request,
-                     TraceTag{ctx.trace_id, ctx.span_id, ctx.sampled});
+  const ServerId server = txn.ticket.server;
+  const std::string_view request = txn.ticket.frame;
+  // Retries, hedges and (in-process) server work run under the
+  // transaction's span.
+  const obs::ScopedTraceContext adopt(txn.span.context());
   const std::uint32_t attempts = std::max(1u, fp.max_attempts);
   double backoff = fp.base_backoff;
   for (std::uint32_t a = 0; a < attempts; ++a) {
@@ -86,9 +112,16 @@ bool KvExchange::exchange(
                    {{"server", static_cast<std::int64_t>(server)},
                     {"attempt", static_cast<std::int64_t>(a)}});
     }
-    if (deadline_exceeded(elapsed)) return false;
+    if (deadline_exceeded(elapsed)) {
+      if (a == 0) transport_.cancel(txn.ticket);
+      txn.span.close();
+      return false;
+    }
     ++stats_.attempts;
-    const TransportResult r = transport_.roundtrip(server, request, response);
+    // The first attempt is the issued frame's reply; later ones resend.
+    const TransportResult r =
+        a == 0 ? transport_.collect(txn.ticket, response)
+               : transport_.roundtrip(server, request, response);
     double cost = r.latency;
     bool ok = r.ok();
     if (!ok) {
@@ -136,26 +169,37 @@ bool KvExchange::exchange(
     elapsed += cost;
     if (ok) {
       observe_latency(cost);
+      txn.span.close();
       return true;
     }
   }
-  txn_span.note("outcome", "failed");
+  txn.span.note("outcome", "failed");
+  txn.span.close();
   return false;
+}
+
+std::optional<std::vector<Value>> KvExchange::finish_values(
+    Pending& txn, std::string& response, bool with_versions,
+    double& elapsed) {
+  // The validity check's parse is the result: the validator's last call
+  // always saw the frame finish() kept.
+  std::optional<std::vector<Value>> values;
+  const bool ok = finish(txn, response, elapsed,
+                         [&values, with_versions](const std::string& resp) {
+                           values = parse_values(resp, with_versions);
+                           return values.has_value();
+                         });
+  if (!ok) return std::nullopt;
+  return values;
 }
 
 std::optional<std::vector<Value>> KvExchange::exchange_values(
     ServerId server, std::string& request, std::string& response,
     bool with_versions, double& elapsed) {
-  // The validity check's parse is the result: the validator's last call
-  // always saw the frame exchange() kept.
-  std::optional<std::vector<Value>> values;
-  const bool ok = exchange(server, request, response, elapsed,
-                           [&values, with_versions](const std::string& resp) {
-                             values = parse_values(resp, with_versions);
-                             return values.has_value();
-                           });
-  if (!ok) return std::nullopt;
-  return values;
+  if (deadline_exceeded(elapsed)) return std::nullopt;
+  Pending txn;
+  begin(txn, server, request);
+  return finish_values(txn, response, with_versions, elapsed);
 }
 
 }  // namespace rnb::kv

@@ -7,10 +7,12 @@
 // placement, so the machinery lives here once: KvExchange owns the jitter
 // stream, the recent-latency window, and the lifetime counters, and runs
 // one transaction end to end — trace-tagging the frame, applying retries
-// and hedges, validating the response. All timing is virtual (transports
-// report each roundtrip's latency and the engine accumulates it, plus
-// computed backoff waits, into the caller's elapsed total), so runs stay
-// reproducible under fault injection.
+// and hedges, validating the response. A transaction can also run in two
+// steps, begin() then finish(), so a client can issue a wave of frames to
+// several servers before it waits for any reply. All timing is virtual
+// (transports report each roundtrip's latency and the engine accumulates
+// it, plus computed backoff waits, into the caller's elapsed total), so
+// runs stay reproducible under fault injection.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "common/rng.hpp"
 #include "kv/kv_transport.hpp"
 #include "kv/protocol.hpp"
+#include "obs/trace.hpp"
 
 namespace rnb::kv {
 
@@ -76,26 +79,54 @@ class KvExchange {
  public:
   KvExchange(KvTransport& transport, const KvFailurePolicy& policy);
 
-  /// Run one transaction: bounded retries with decorrelated-jitter backoff,
-  /// hedged duplicate on a slow response, and virtual-deadline accounting
-  /// via `elapsed`. The frame in `request` is trace-tagged per attempt when
-  /// a tracer is installed (a "transaction" span wraps the whole exchange;
-  /// inside a traced operation it joins that trace, otherwise it roots its
-  /// own). Success means the response in `response` was delivered, is
-  /// non-empty (a zero-byte "response" is a dead peer, never a valid
-  /// frame), and passes `valid` when given. `valid` may keep what it
-  /// derives from a frame (say, parsed views of it): on success its most
-  /// recent call was on `response` as returned. `allow_hedge` must be false
-  /// for non-idempotent frames (CAS): a hedged duplicate that loses the
-  /// race would report EXISTS for its own twin.
+  /// One transaction between begin() and finish(): the ticket its first
+  /// attempt went out on (which names its server and frame; retries resend
+  /// that frame), and its trace span.
+  struct Pending {
+    Ticket ticket;
+    obs::OpenSpan span;
+  };
+
+  /// Start one transaction: open its "transaction" span (inside a traced
+  /// operation it joins that trace, otherwise it roots its own), tag
+  /// `request` with it when a tracer is installed, and issue the frame.
+  /// `request` must stay in place until finish() or cancel().
+  void begin(Pending& txn, ServerId server, std::string& request);
+
+  /// Finish a begun transaction. Its first attempt is the issued frame's
+  /// reply; bounded retries with decorrelated-jitter backoff, a hedged
+  /// duplicate on a slow response, and virtual-deadline accounting via
+  /// `elapsed` follow as roundtrips. Success means the response in
+  /// `response` was delivered, is non-empty (a zero-byte "response" is a
+  /// dead peer, never a valid frame), and passes `valid` when given.
+  /// `valid` may keep what it derives from a frame (say, parsed views of
+  /// it): on success its most recent call was on `response` as returned.
+  /// `allow_hedge` must be false for non-idempotent frames (CAS): a hedged
+  /// duplicate that loses the race would report EXISTS for its own twin.
+  bool finish(Pending& txn, std::string& response, double& elapsed,
+              const std::function<bool(const std::string&)>& valid = {},
+              bool allow_hedge = true);
+
+  /// finish() whose validity check is "parses as a VALUE frame" — a
+  /// truncated frame counts as a transport error and is retried. Returns
+  /// the parsed values on success.
+  std::optional<std::vector<Value>> finish_values(Pending& txn,
+                                                  std::string& response,
+                                                  bool with_versions,
+                                                  double& elapsed);
+
+  /// Drop a begun transaction unfinished (a deadline cut it): its frame's
+  /// reply is discarded and its span closes as cancelled.
+  void cancel(Pending& txn);
+
+  /// begin() then finish(): one transaction start to finish. Sends
+  /// nothing, and fails, once `elapsed` is past the deadline.
   bool exchange(ServerId server, std::string& request, std::string& response,
                 double& elapsed,
                 const std::function<bool(const std::string&)>& valid = {},
                 bool allow_hedge = true);
 
-  /// exchange() whose validity check is "parses as a VALUE frame" — a
-  /// truncated frame counts as a transport error and is retried. Returns
-  /// the parsed values on success.
+  /// exchange() with finish_values()'s check.
   std::optional<std::vector<Value>> exchange_values(ServerId server,
                                                     std::string& request,
                                                     std::string& response,

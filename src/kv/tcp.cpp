@@ -49,6 +49,59 @@ bool storage_bytes(std::string_view line, std::size_t& bytes) {
   return verb == "set" || verb == "cas";
 }
 
+/// The <bytes> field of a "VALUE <key> <flags> <bytes> [cas]" line; 0 when
+/// it is missing or malformed.
+std::size_t value_bytes(std::string_view line) {
+  std::size_t bytes = 0;
+  std::size_t field = 0;
+  while (!line.empty() && field <= 3) {
+    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
+    const std::size_t sp = line.find(' ');
+    const std::string_view token = line.substr(0, sp);
+    if (field == 3)
+      std::from_chars(token.data(), token.data() + token.size(), bytes);
+    if (sp == std::string_view::npos) break;
+    line.remove_prefix(sp);
+    ++field;
+  }
+  return bytes;
+}
+
+/// Find CRLF at or after `from`, counting the bytes examined, and move
+/// `from` to where the next search resumes: past the CRLF, or onto the
+/// last byte (a CR whose LF has not arrived yet).
+std::size_t find_crlf(const std::string& buffer, std::size_t& from,
+                      std::uint64_t& scanned) {
+  const std::size_t eol = buffer.find(kCrlf, from);
+  if (eol == std::string::npos) {
+    scanned += buffer.size() - from;
+    if (buffer.size() > from) from = buffer.size() - 1;
+    return eol;
+  }
+  scanned += eol + kCrlf.size() - from;
+  from = eol + kCrlf.size();
+  return eol;
+}
+
+/// Drop the consumed prefix [0, head) once it passes half the buffer (or
+/// is all of it), so erasing costs no more than the bytes it follows.
+/// Returns how far the remaining bytes moved down.
+std::size_t compact(std::string& buffer, std::size_t head) {
+  if (head == buffer.size()) {
+    buffer.clear();
+    return head;
+  }
+  if (head <= buffer.size() / 2) return 0;
+  buffer.erase(0, head);
+  return head;
+}
+
+std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 void write_all(int fd, std::string_view bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
@@ -62,17 +115,41 @@ void write_all(int fd, std::string_view bytes) {
 }  // namespace
 
 bool FrameSplitter::next_frame(std::string& frame) {
-  const std::size_t eol = buffer_.find(kCrlf);
-  if (eol == std::string::npos) return false;
-  const std::string_view line(buffer_.data(), eol);
-  std::size_t body = 0;
-  std::size_t total = eol + kCrlf.size();
-  if (storage_bytes(line, body)) {
-    total += body + kCrlf.size();
-    if (buffer_.size() < total) return false;
+  if (end_ == 0) {
+    const std::size_t eol = find_crlf(buffer_, scan_, scanned_);
+    if (eol == std::string::npos) return false;
+    const std::string_view line(buffer_.data() + head_, eol - head_);
+    std::size_t body = 0;
+    end_ = eol + kCrlf.size();
+    if (storage_bytes(line, body)) end_ += body + kCrlf.size();
   }
-  frame.assign(buffer_, 0, total);
-  buffer_.erase(0, total);
+  if (buffer_.size() < end_) return false;
+  frame.assign(buffer_, head_, end_ - head_);
+  head_ = end_;
+  end_ = 0;
+  head_ -= compact(buffer_, head_);
+  scan_ = head_;
+  return true;
+}
+
+bool ReplySplitter::next_reply(std::string& reply) {
+  for (;;) {
+    if (line_ > buffer_.size()) return false;  // a data block is arriving
+    if (scan_ < line_) scan_ = line_;
+    const std::size_t eol = find_crlf(buffer_, scan_, scanned_);
+    if (eol == std::string::npos) return false;
+    const std::string_view line(buffer_.data() + line_, eol - line_);
+    const bool first = line_ == head_;
+    line_ = eol + kCrlf.size();
+    // A reply is one simple line unless it opens with a VALUE line; then
+    // it runs, data blocks skipped by their declared size, to END.
+    if ((first && !line.starts_with("VALUE ")) || line == "END") break;
+    line_ += value_bytes(line) + kCrlf.size();
+  }
+  reply.assign(buffer_, head_, line_ - head_);
+  head_ = line_;
+  head_ -= compact(buffer_, head_);
+  line_ = scan_ = head_;
   return true;
 }
 
@@ -218,57 +295,11 @@ void TcpKvConnection::send(std::string_view frame) { write_all(fd_, frame); }
 
 void TcpKvConnection::read_response(std::string& response) {
   response.clear();
-  // A response is either a VALUE.../END block or one simple line. Scan the
-  // inbox for completeness; recv more until it is.
   char chunk[16384];
-  for (;;) {
-    // Try to carve a complete response from inbox_.
-    std::size_t consumed = 0;
-    bool complete = false;
-    if (inbox_.rfind("VALUE ", 0) == 0 || inbox_.rfind("END\r\n", 0) == 0) {
-      std::size_t pos = 0;
-      for (;;) {
-        const std::size_t eol = inbox_.find(kCrlf, pos);
-        if (eol == std::string::npos) break;
-        const std::string_view line(inbox_.data() + pos, eol - pos);
-        pos = eol + kCrlf.size();
-        if (line == "END") {
-          consumed = pos;
-          complete = true;
-          break;
-        }
-        // "VALUE <key> <flags> <bytes> [cas]": skip the data block.
-        std::size_t bytes = 0;
-        std::size_t field = 0;
-        std::string_view rest = line;
-        while (!rest.empty() && field <= 3) {
-          while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-          const std::size_t sp = rest.find(' ');
-          const std::string_view token = rest.substr(0, sp);
-          if (field == 3)
-            std::from_chars(token.data(), token.data() + token.size(), bytes);
-          if (sp == std::string_view::npos) break;
-          rest.remove_prefix(sp);
-          ++field;
-        }
-        pos += bytes + kCrlf.size();
-        if (pos > inbox_.size()) break;  // data block not fully here yet
-      }
-    } else {
-      const std::size_t eol = inbox_.find(kCrlf);
-      if (eol != std::string::npos) {
-        consumed = eol + kCrlf.size();
-        complete = true;
-      }
-    }
-    if (complete) {
-      response.assign(inbox_, 0, consumed);
-      inbox_.erase(0, consumed);
-      return;
-    }
+  while (!inbox_.next_reply(response)) {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n <= 0) throw std::runtime_error("tcp: connection closed mid-response");
-    inbox_.append(chunk, static_cast<std::size_t>(n));
+    inbox_.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
   }
 }
 
@@ -315,26 +346,158 @@ std::vector<std::uint16_t> TcpFleet::ports() const {
   return out;
 }
 
+TcpClientTransport::Slot::Early* TcpClientTransport::Slot::find(
+    std::uint64_t seq) {
+  for (Early& e : early)
+    if (e.state != Early::State::kFree && e.seq == seq) return &e;
+  return nullptr;
+}
+
+TcpClientTransport::Slot::Early& TcpClientTransport::Slot::spare() {
+  for (Early& e : early)
+    if (e.state == Early::State::kFree) return e;
+  return early.emplace_back();
+}
+
+void TcpClientTransport::Slot::drop() {
+  connection.reset();
+  read = sent;
+  // Cancelled frames have nothing left to drain; parked replies stay.
+  for (Early& e : early)
+    if (e.state == Early::State::kCancelled) e.state = Early::State::kFree;
+}
+
 TcpClientTransport::TcpClientTransport(
-    const std::vector<std::uint16_t>& ports) {
+    const std::vector<std::uint16_t>& ports)
+    : ports_(ports), slots_(ports.size()) {
   RNB_REQUIRE(!ports.empty());
-  connections_.reserve(ports.size());
-  for (const std::uint16_t port : ports)
-    connections_.push_back(Endpoint{std::make_unique<TcpKvConnection>(port),
-                                    std::make_unique<std::mutex>()});
+  for (ServerId s = 0; s < slots_.size(); ++s)
+    if (!dial(s, slots_[s])) throw std::runtime_error("tcp: connect() failed");
+}
+
+TcpClientTransport::TcpClientTransport(
+    TcpFleet& fleet, std::span<const std::atomic<bool>> active,
+    ServerId capacity)
+    : fleet_(&fleet), active_(active), slots_(capacity) {
+  RNB_REQUIRE(capacity > 0 && active.size() >= capacity);
+  // Serving slots dial now, as a fixed fleet's would; the rest on first
+  // use.
+  for (ServerId s = 0; s < capacity; ++s)
+    if (active_[s].load(std::memory_order_relaxed)) dial(s, slots_[s]);
+}
+
+TcpClientTransport::~TcpClientTransport() = default;
+
+bool TcpClientTransport::dial(ServerId s, Slot& slot) {
+  if (slot.connection != nullptr) return true;
+  std::uint16_t port = 0;
+  if (fleet_ == nullptr) {
+    port = ports_[s];
+  } else {
+    if (s >= fleet_->num_servers()) return false;  // not booted yet
+    port = fleet_->port(s);
+  }
+  try {
+    slot.connection = std::make_unique<TcpKvConnection>(port);
+  } catch (const std::runtime_error&) {
+    return false;  // refused: a stopped or leaving server
+  }
+  return true;
+}
+
+std::uint64_t TcpClientTransport::send(ServerId s, Slot& slot,
+                                       std::string_view frame) {
+  const std::uint64_t seq = slot.sent++;
+  const bool serving =
+      active_.empty() || active_[s].load(std::memory_order_relaxed);
+  if (!serving || !dial(s, slot)) {
+    slot.drop();
+    return seq;
+  }
+  try {
+    slot.connection->send(frame);
+  } catch (const std::runtime_error&) {
+    slot.drop();
+  }
+  return seq;
+}
+
+TransportResult TcpClientTransport::receive(Slot& slot, std::uint64_t seq,
+                                            std::int64_t sent_ns,
+                                            std::string& response) {
+  if (seq < slot.read) {
+    Slot::Early* parked = slot.find(seq);
+    response.clear();
+    if (parked == nullptr) return {TransportStatus::kServerDown, 0.0};
+    parked->state = Slot::Early::State::kFree;
+    response.swap(parked->reply);
+    return {TransportStatus::kOk,
+            static_cast<double>(parked->arrived_ns - sent_ns) * 1e-9};
+  }
+  try {
+    // Replies come back in send order: park (or drop, if cancelled) the
+    // ones ahead of ours.
+    for (; slot.read < seq; ++slot.read) {
+      Slot::Early* cancelled = slot.find(slot.read);
+      Slot::Early& e = cancelled != nullptr ? *cancelled : slot.spare();
+      slot.connection->read_response(e.reply);
+      // A cancelled reply is dropped; any other is parked, but only once
+      // all of it is in.
+      e.seq = slot.read;
+      e.state = cancelled != nullptr ? Slot::Early::State::kFree
+                                     : Slot::Early::State::kParked;
+      e.arrived_ns = now_ns();
+    }
+    slot.connection->read_response(response);
+    ++slot.read;
+  } catch (const std::runtime_error&) {
+    slot.drop();
+    response.clear();
+    return {TransportStatus::kServerDown, 0.0};
+  }
+  return {TransportStatus::kOk,
+          static_cast<double>(now_ns() - sent_ns) * 1e-9};
 }
 
 TransportResult TcpClientTransport::roundtrip(ServerId s,
                                               std::string_view request,
                                               std::string& response) {
-  RNB_REQUIRE(s < connections_.size());
-  Endpoint& ep = connections_[s];
-  const std::lock_guard lock(*ep.mu);
-  const auto start = std::chrono::steady_clock::now();
-  ep.connection->roundtrip(request, response);
-  const std::chrono::duration<double> took =
-      std::chrono::steady_clock::now() - start;
-  return {TransportStatus::kOk, took.count()};
+  RNB_REQUIRE(s < slots_.size());
+  Slot& slot = slots_[s];
+  const std::lock_guard lock(slot.mu);
+  const std::int64_t t0 = now_ns();
+  const std::uint64_t seq = send(s, slot, request);
+  return receive(slot, seq, t0, response);
+}
+
+Ticket TcpClientTransport::issue(ServerId s, std::string_view frame) {
+  RNB_REQUIRE(s < slots_.size());
+  Slot& slot = slots_[s];
+  const std::lock_guard lock(slot.mu);
+  Ticket ticket{s, frame, 0, now_ns()};
+  ticket.seq = send(s, slot, frame);
+  return ticket;
+}
+
+TransportResult TcpClientTransport::collect(const Ticket& ticket,
+                                            std::string& response) {
+  Slot& slot = slots_[ticket.server];
+  const std::lock_guard lock(slot.mu);
+  return receive(slot, ticket.seq, ticket.issued_ns, response);
+}
+
+void TcpClientTransport::cancel(const Ticket& ticket) {
+  Slot& slot = slots_[ticket.server];
+  const std::lock_guard lock(slot.mu);
+  if (ticket.seq < slot.read) {
+    // Parked, or lost with a dropped connection.
+    if (Slot::Early* parked = slot.find(ticket.seq))
+      parked->state = Slot::Early::State::kFree;
+    return;
+  }
+  Slot::Early& e = slot.spare();
+  e.seq = ticket.seq;
+  e.state = Slot::Early::State::kCancelled;
 }
 
 }  // namespace rnb::kv

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,10 @@
 namespace rnb::kv {
 
 /// Incremental frame splitter: feed bytes, pop complete request frames.
-/// Needed by both the server reader and any pipelined client.
+/// Needed by both the server reader and any pipelined client. Framing
+/// costs time linear in the bytes fed, however they are split: the CRLF
+/// search resumes where it stopped, a frame's header is parsed once, and
+/// consumed bytes are compacted away only once they pass half the buffer.
 class FrameSplitter {
  public:
   /// Append raw bytes from the socket.
@@ -44,10 +48,38 @@ class FrameSplitter {
   bool next_frame(std::string& frame);
 
   /// Bytes buffered but not yet framed.
-  std::size_t pending() const noexcept { return buffer_.size(); }
+  std::size_t pending() const noexcept { return buffer_.size() - head_; }
+
+  /// Bytes the CRLF search has examined so far.
+  std::uint64_t scanned() const noexcept { return scanned_; }
 
  private:
   std::string buffer_;
+  std::size_t head_ = 0;  // first byte not yet framed
+  std::size_t scan_ = 0;  // where the CRLF search resumes
+  std::size_t end_ = 0;   // end of the frame at head_ once its line is in
+  std::uint64_t scanned_ = 0;
+};
+
+/// The client-side twin of FrameSplitter: feed bytes, pop complete
+/// responses — a "VALUE.../END" block or one simple line — in linear time.
+class ReplySplitter {
+ public:
+  void feed(std::string_view bytes) { buffer_.append(bytes); }
+
+  /// If a complete response sits at the front of the buffer, move it into
+  /// `reply` and return true.
+  bool next_reply(std::string& reply);
+
+  /// Bytes the CRLF search has examined so far.
+  std::uint64_t scanned() const noexcept { return scanned_; }
+
+ private:
+  std::string buffer_;
+  std::size_t head_ = 0;  // first byte of the response being framed
+  std::size_t line_ = 0;  // next line to read, past any data block
+  std::size_t scan_ = 0;  // where the CRLF search for that line resumes
+  std::uint64_t scanned_ = 0;
 };
 
 /// The thread-per-connection serving core: listener socket, accept loop,
@@ -203,12 +235,13 @@ class TcpKvConnection {
   void send(std::string_view frame);
 
   /// Read until the buffer holds one complete *response* (either a
-  /// "VALUE.../END" block or a single simple line).
+  /// "VALUE.../END" block or a single simple line). Throws
+  /// std::runtime_error when the peer closes first.
   void read_response(std::string& response);
 
  private:
   int fd_ = -1;
-  std::string inbox_;
+  ReplySplitter inbox_;
 };
 
 /// A fleet of TCP servers on loopback ports — the multi-server counterpart
@@ -265,29 +298,79 @@ class TcpFleet {
   std::vector<Member> servers_;
 };
 
-/// KvTransport over real sockets: one connection per server, serialized per
-/// server by a mutex (one client object == one web-tier worker).
+/// KvTransport over real sockets: one connection per server slot. A slot
+/// dials on first use and redials after its connection drops; a peer that
+/// refuses or closes is kServerDown, never an exception, and every frame
+/// still unanswered on a dropped connection fails with it. issue() writes
+/// the frame; collect() reads the connection's replies in order into the
+/// caller's buffer, parking a reply only when a later ticket on the same
+/// connection is collected first. A cancelled ticket's reply is read and
+/// dropped on the way to a later one. Each slot is serialized by its own
+/// mutex, so roundtrip() may come from several threads.
 class TcpClientTransport final : public KvTransport {
  public:
-  /// Connect to servers on 127.0.0.1 at the given ports.
+  /// Connect to servers on 127.0.0.1 at the given ports; throws
+  /// std::runtime_error when one refuses.
   explicit TcpClientTransport(const std::vector<std::uint16_t>& ports);
 
+  /// One slot per id below `capacity`, dialing `fleet.port(s)`: serving
+  /// slots at construction, the rest on first use (a joiner's port exists
+  /// only once it boots). Slot s serves only while `active[s]` is set: a
+  /// stopped slot drops its connection and answers kServerDown.
+  TcpClientTransport(TcpFleet& fleet,
+                     std::span<const std::atomic<bool>> active,
+                     ServerId capacity);
+  ~TcpClientTransport() override;
+
   ServerId num_servers() const noexcept override {
-    return static_cast<ServerId>(connections_.size());
+    return static_cast<ServerId>(slots_.size());
   }
 
-  /// Latency in the result is wall-clock measured (the one transport where
-  /// real time exists); deterministic tests use the loopback or fault
-  /// transports instead.
+  /// Latency in the result is wall-clock measured from the frame's send
+  /// (the one transport where real time exists); deterministic tests use
+  /// the loopback or fault transports instead.
   TransportResult roundtrip(ServerId s, std::string_view request,
                             std::string& response) override;
+  Ticket issue(ServerId s, std::string_view frame) override;
+  TransportResult collect(const Ticket& ticket,
+                          std::string& response) override;
+  void cancel(const Ticket& ticket) override;
 
  private:
-  struct Endpoint {
+  struct Slot {
+    /// A reply read before its ticket was collected (kParked), or a
+    /// cancelled ticket whose reply is still to come (kCancelled). Entries
+    /// are reused, never erased, so a parked reply's buffer keeps its
+    /// capacity.
+    struct Early {
+      enum class State : std::uint8_t { kFree, kParked, kCancelled };
+      State state = State::kFree;
+      std::uint64_t seq = 0;
+      std::int64_t arrived_ns = 0;
+      std::string reply;
+    };
+    std::mutex mu;
     std::unique_ptr<TcpKvConnection> connection;
-    std::unique_ptr<std::mutex> mu;
+    std::uint64_t sent = 0;  // frames written, over every connection
+    std::uint64_t read = 0;  // replies read or lost with a connection
+    std::vector<Early> early;
+
+    Early* find(std::uint64_t seq);
+    Early& spare();
+    /// Drop the connection; its unanswered frames fail.
+    void drop();
   };
-  std::vector<Endpoint> connections_;
+
+  /// The rest run under the slot's mutex.
+  bool dial(ServerId s, Slot& slot);
+  std::uint64_t send(ServerId s, Slot& slot, std::string_view frame);
+  TransportResult receive(Slot& slot, std::uint64_t seq,
+                          std::int64_t sent_ns, std::string& response);
+
+  std::vector<std::uint16_t> ports_;  // fixed endpoints, else fleet_
+  TcpFleet* fleet_ = nullptr;
+  std::span<const std::atomic<bool>> active_;  // empty: always serving
+  std::vector<Slot> slots_;
 };
 
 }  // namespace rnb::kv

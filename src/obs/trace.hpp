@@ -262,61 +262,57 @@ class ScopedTraceContext {
   bool active_ = false;
 };
 
-/// RAII span: opens at construction, records one 'X' (complete) event at
-/// destruction covering the scope's duration. Inactive (all methods no-op)
-/// when no tracer is installed at construction time.
-///
-/// Trace identity: kChild spans join the ambient context when one is set
-/// (and stay context-free otherwise — exports are byte-identical to the
-/// pre-context format); kRoot spans always start a fresh trace. Either
-/// way, a span with an identity installs itself as the ambient context so
-/// nested spans become its children, and restores the previous context on
-/// close.
-class SpanScope {
- public:
-  enum class Kind { kChild, kRoot };
+/// Whether a span joins the ambient trace (kChild: a child of the ambient
+/// context when one is set, context-free otherwise, so exports stay
+/// byte-identical to the pre-context format) or starts a fresh trace
+/// (kRoot).
+enum class SpanKind { kChild, kRoot };
 
-  SpanScope(const char* name, const char* cat, Kind kind = Kind::kChild)
-      : tracer_(Tracer::current()) {
+/// A span opened and closed by explicit calls, for work that overlaps its
+/// siblings and so cannot nest as a scope (a transaction issued in a wave
+/// and finished after the others were issued). It never installs itself as
+/// the ambient context: adopt context() around work that belongs under it.
+/// close() records one 'X' (complete) event with the explicit start and
+/// end times. Inactive (all methods no-op) when no tracer was installed at
+/// open().
+class OpenSpan {
+ public:
+  void open(const char* name, const char* cat,
+            SpanKind kind = SpanKind::kChild) {
+    tracer_ = Tracer::current();
     if (tracer_ == nullptr) return;
+    event_ = TraceEvent{};
     event_.name = name;
     event_.cat = cat;
-    TraceContext& ambient = Tracer::ambient_context();
-    if (kind == Kind::kRoot) {
-      saved_ = ambient;
+    sampled_ = true;
+    const TraceContext& ambient = Tracer::ambient_context();
+    if (kind == SpanKind::kRoot) {
       event_.trace_id = tracer_->new_trace_id();
       event_.span_id = tracer_->new_span_id();
-      ambient = {event_.trace_id, event_.span_id, true};
-      restore_ = true;
     } else if (ambient.valid()) {
-      saved_ = ambient;
       event_.trace_id = ambient.trace_id;
       event_.parent_id = ambient.span_id;
       event_.span_id = tracer_->new_span_id();
-      ambient = {event_.trace_id, event_.span_id, ambient.sampled};
-      restore_ = true;
+      sampled_ = ambient.sampled;
     }
     event_.ts = tracer_->now();
   }
 
-  ~SpanScope() {
+  /// Record the span, ending now. Later calls do nothing.
+  void close() {
     if (tracer_ == nullptr) return;
-    const std::uint64_t end = tracer_->now();
-    event_.dur = end - event_.ts;
+    event_.dur = tracer_->now() - event_.ts;
     tracer_->record(event_);
-    if (restore_) Tracer::ambient_context() = saved_;
+    tracer_ = nullptr;
   }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
 
   bool active() const noexcept { return tracer_ != nullptr; }
 
   /// The span's own trace identity (invalid when the span carries none);
   /// this is what goes on the wire so remote spans become our children.
   TraceContext context() const noexcept {
-    return {event_.trace_id, event_.span_id,
-            restore_ ? Tracer::ambient_context().sampled : true};
+    if (tracer_ == nullptr) return {};
+    return {event_.trace_id, event_.span_id, sampled_};
   }
 
   /// Rewind the span's start (e.g. to fold in work measured before the
@@ -339,8 +335,49 @@ class SpanScope {
   }
 
  private:
-  Tracer* tracer_;
+  Tracer* tracer_ = nullptr;
   TraceEvent event_;
+  bool sampled_ = true;
+};
+
+/// RAII span: an OpenSpan opened at construction and closed at
+/// destruction, covering the scope's duration. A span with an identity
+/// installs itself as the ambient context so nested spans become its
+/// children, and restores the previous context on close.
+class SpanScope {
+ public:
+  using Kind = SpanKind;
+
+  SpanScope(const char* name, const char* cat, Kind kind = Kind::kChild) {
+    span_.open(name, cat, kind);
+    const TraceContext ctx = span_.context();
+    if (!ctx.valid()) return;
+    TraceContext& ambient = Tracer::ambient_context();
+    saved_ = ambient;
+    ambient = ctx;
+    restore_ = true;
+  }
+
+  ~SpanScope() {
+    span_.close();
+    if (restore_) Tracer::ambient_context() = saved_;
+  }
+
+  SpanScope(const SpanScope&) = delete;
+  SpanScope& operator=(const SpanScope&) = delete;
+
+  bool active() const noexcept { return span_.active(); }
+  TraceContext context() const noexcept { return span_.context(); }
+  void set_start(std::uint64_t ts) noexcept { span_.set_start(ts); }
+  void arg(const char* key, std::int64_t value) noexcept {
+    span_.arg(key, value);
+  }
+  void note(const char* key, const char* value) noexcept {
+    span_.note(key, value);
+  }
+
+ private:
+  OpenSpan span_;
   TraceContext saved_;
   bool restore_ = false;
 };

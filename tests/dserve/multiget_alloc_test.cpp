@@ -14,9 +14,11 @@
 // planned in per-call hash maps and vectors and parsed each response twice
 // (962 with hitchhiking, 862 with cold replicas), and 129 = 1 bucket array
 // + 64 nodes + 64 values with the scratch-reusing client, in all three
-// cases.
+// cases. The count is the same when the transport overrides issue/collect
+// and every wave has all its frames in flight at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -48,11 +50,13 @@ namespace rnb::dserve {
 namespace {
 
 /// Record mode forwards to the group and keeps every response; replay mode
-/// answers each (server, request) from the recording.
+/// answers each (server, request) from the recording. A ticketed replay
+/// overrides issue/collect: issue() looks the answer up, collect() hands
+/// it over, so a wave's frames are all in flight before the first reply.
 class ReplayTransport final : public kv::KvTransport {
  public:
-  explicit ReplayTransport(kv::KvTransport& inner)
-      : inner_(inner), canned_(inner.num_servers()) {}
+  ReplayTransport(kv::KvTransport& inner, bool ticketed)
+      : inner_(inner), canned_(inner.num_servers()), ticketed_(ticketed) {}
 
   ServerId num_servers() const noexcept override {
     return inner_.num_servers();
@@ -75,14 +79,52 @@ class ReplayTransport final : public kv::KvTransport {
     return {};
   }
 
+  kv::Ticket issue(ServerId s, std::string_view frame) override {
+    if (!ticketed_ || !replaying_) return KvTransport::issue(s, frame);
+    const auto it = canned_[s].find(frame);
+    answers_.push_back(it == canned_[s].end() ? nullptr : &it->second);
+    ++open_;
+    return kv::Ticket{s, frame, answers_.size() - 1, 0};
+  }
+
+  kv::TransportResult collect(const kv::Ticket& ticket,
+                              std::string& response) override {
+    if (!ticketed_ || !replaying_)
+      return KvTransport::collect(ticket, response);
+    const std::string* answer = answers_[ticket.seq];
+    redeem();
+    if (answer == nullptr) {
+      ++unmatched_;
+      response.clear();
+      return {kv::TransportStatus::kDropped, 0.0};
+    }
+    response.assign(*answer);
+    return {};
+  }
+
+  void cancel(const kv::Ticket& /*ticket*/) override {
+    if (ticketed_ && replaying_) redeem();
+  }
+
   void replay() { replaying_ = true; }
   std::uint64_t unmatched() const { return unmatched_; }
+  std::uint64_t max_open() const { return max_open_; }
 
  private:
+  void redeem() {
+    max_open_ = std::max(max_open_, open_);
+    if (--open_ == 0) answers_.clear();  // keeps its capacity
+  }
+
   kv::KvTransport& inner_;
   std::vector<std::map<std::string, std::string, std::less<>>> canned_;
+  const bool ticketed_;
   bool replaying_ = false;
   std::uint64_t unmatched_ = 0;
+  // Ticketed replay: answers by ticket seq, and how many are unredeemed.
+  std::vector<const std::string*> answers_;
+  std::uint64_t open_ = 0;
+  std::uint64_t max_open_ = 0;
 };
 
 /// What `r` needs to allocate when every key was found: its reserved
@@ -99,7 +141,8 @@ std::uint64_t result_allocations(const KvClusterClient::MultiGetResult& r) {
 }
 
 std::uint64_t allocations_of_one_multi_get(bool preinstall_replicas,
-                                           bool hitchhiking) {
+                                           bool hitchhiking,
+                                           bool ticketed = false) {
   ServerGroupConfig config;
   config.num_servers = 8;
   config.wire = GroupWire::kLoopback;
@@ -112,7 +155,7 @@ std::uint64_t allocations_of_one_multi_get(bool preinstall_replicas,
              preinstall_replicas);
 
   const auto connection = group.connect();
-  ReplayTransport replay(*connection);
+  ReplayTransport replay(*connection, ticketed);
   KvClusterClientConfig client_config;
   client_config.hitchhiking = hitchhiking;
   KvClusterClient client(replay, group.view(), client_config);
@@ -131,6 +174,9 @@ std::uint64_t allocations_of_one_multi_get(bool preinstall_replicas,
   EXPECT_TRUE(result.missing.empty());
   EXPECT_LE(counted, result_allocations(result))
       << "allocations beyond what the MultiGetResult needs";
+  if (ticketed) {
+    EXPECT_GE(replay.max_open(), 2u) << "no wave overlapped";
+  }
   return counted;
 }
 
@@ -148,6 +194,17 @@ TEST(MultiGetAllocations, HitchhikingAddsNoAllocations) {
 TEST(MultiGetAllocations, RoundTwoAndWriteBacksAddNoAllocations) {
   allocations_of_one_multi_get(/*preinstall_replicas=*/false,
                                /*hitchhiking=*/false);
+}
+
+TEST(MultiGetAllocations, OverlappingWavesAddNoAllocations) {
+  const std::uint64_t n =
+      allocations_of_one_multi_get(/*preinstall_replicas=*/true,
+                                   /*hitchhiking=*/false, /*ticketed=*/true);
+  RecordProperty("allocations", static_cast<int>(n));
+  allocations_of_one_multi_get(/*preinstall_replicas=*/true,
+                               /*hitchhiking=*/true, /*ticketed=*/true);
+  allocations_of_one_multi_get(/*preinstall_replicas=*/false,
+                               /*hitchhiking=*/false, /*ticketed=*/true);
 }
 
 }  // namespace

@@ -9,6 +9,13 @@
 // up as a different digest. The script covers duplicate keys, absent keys,
 // cold replicas (round 2 and write-backs), hitchhiking, and a crashed
 // server (down marks, recover rounds, reprobes).
+//
+// The same script also runs through a transport that answers every frame
+// the moment it is issued, the way a pipelined wire could: the client must
+// return the same results and failure counts as on the lazy schedule, and
+// keep the wave shape — each wave's frames all issued before its first
+// reply is collected, and each round-2 reply's write-backs acked before
+// the next round-2 reply.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +24,8 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include <deque>
 
 #include "common/rng.hpp"
 #include "dserve/cluster_client.hpp"
@@ -69,6 +78,83 @@ class RecordingTransport final : public kv::KvTransport {
   std::uint64_t frames_ = 0;
 };
 
+/// How the client's tickets interleaved, as EagerTransport saw them.
+struct WaveShape {
+  std::uint64_t max_gets_in_flight = 0;
+  // Gets issued after a collect of their own wave (must stay 0).
+  std::uint64_t late_issues = 0;
+  // Get collects with a write-back still unacked (must stay 0).
+  std::uint64_t gets_past_writebacks = 0;
+  // Write-backs issued while a later round-2 get was in flight.
+  std::uint64_t overlapped_writebacks = 0;
+};
+
+/// Overrides issue/collect and answers each frame at issue time from the
+/// connection beneath it, recording the shape of the issue/collect
+/// sequence. A wave is a run of get tickets; sets are write-backs.
+class EagerTransport final : public kv::KvTransport {
+ public:
+  EagerTransport(kv::KvTransport& inner, WaveShape& shape)
+      : inner_(inner), shape_(shape) {}
+
+  ServerId num_servers() const noexcept override {
+    return inner_.num_servers();
+  }
+  kv::TransportResult roundtrip(ServerId s, std::string_view request,
+                                std::string& response) override {
+    return inner_.roundtrip(s, request, response);
+  }
+  kv::Ticket issue(ServerId s, std::string_view frame) override {
+    Answer& a = answers_.emplace_back();
+    a.get = frame.starts_with("get ");
+    if (a.get) {
+      if (gets_in_flight_ == 0) wave_collected_ = false;
+      if (wave_collected_) ++shape_.late_issues;
+      ++gets_in_flight_;
+      shape_.max_gets_in_flight =
+          std::max(shape_.max_gets_in_flight, gets_in_flight_);
+    } else {
+      ++sets_in_flight_;
+      if (gets_in_flight_ > 0) ++shape_.overlapped_writebacks;
+    }
+    a.result = inner_.roundtrip(s, frame, a.response);
+    return kv::Ticket{s, frame, answers_.size() - 1, 0};
+  }
+  kv::TransportResult collect(const kv::Ticket& ticket,
+                              std::string& response) override {
+    Answer& a = redeem(ticket);
+    response = std::move(a.response);
+    return a.result;
+  }
+  void cancel(const kv::Ticket& ticket) override { redeem(ticket); }
+
+ private:
+  struct Answer {
+    bool get = false;
+    kv::TransportResult result;
+    std::string response;
+  };
+
+  Answer& redeem(const kv::Ticket& ticket) {
+    Answer& a = answers_[ticket.seq];
+    if (a.get) {
+      --gets_in_flight_;
+      wave_collected_ = true;
+      if (sets_in_flight_ > 0) ++shape_.gets_past_writebacks;
+    } else {
+      --sets_in_flight_;
+    }
+    return a;
+  }
+
+  kv::KvTransport& inner_;
+  WaveShape& shape_;
+  std::deque<Answer> answers_;  // by ticket seq
+  std::uint64_t gets_in_flight_ = 0;
+  std::uint64_t sets_in_flight_ = 0;
+  bool wave_collected_ = false;
+};
+
 void digest_result(const KvClusterClient::MultiGetResult& r, Digest& d) {
   d.add_u64(r.round1_transactions);
   d.add_u64(r.round2_transactions);
@@ -99,6 +185,11 @@ struct Scenario {
 struct Transcript {
   std::uint64_t digest = 0;
   std::uint64_t frames = 0;
+  // The MultiGetResults alone, the client's failure counters, and (eager
+  // runs) the wave shape.
+  std::uint64_t results = 0;
+  kv::KvFailureStats stats;
+  WaveShape shape;
   // Totals over the script, so each scenario can show it reached the
   // paths it is meant to pin.
   std::uint64_t duplicates = 0;
@@ -109,7 +200,9 @@ struct Transcript {
   std::uint64_t marked_down = 0;
 };
 
-Transcript run_script(const Scenario& sc) {
+/// Runs the script on the lazy schedule, recording every frame, or (eager)
+/// through EagerTransport.
+Transcript run_script(const Scenario& sc, bool eager = false) {
   ServerGroupConfig config;
   config.num_servers = 8;
   config.wire = GroupWire::kLoopback;
@@ -124,15 +217,19 @@ Transcript run_script(const Scenario& sc) {
   group.load(loaded, [](std::string_view key) { return "val/" + std::string(key); },
              sc.preinstall_replicas);
 
+  Transcript t;
   Digest digest;
+  Digest results;
   const auto connection = group.connect();
   RecordingTransport recording(*connection, digest);
+  EagerTransport eager_wire(*connection, t.shape);
   KvClusterClientConfig client_config;
   client_config.hitchhiking = sc.hitchhiking;
   client_config.failure.max_attempts = 2;
-  KvClusterClient client(recording, group.view(), client_config);
+  KvClusterClient client(
+      eager ? static_cast<kv::KvTransport&>(eager_wire) : recording,
+      group.view(), client_config);
 
-  Transcript t;
   Xoshiro256 rng(0x7a11);
   std::vector<std::string> batch;
   for (int call = 0; call < 120; ++call) {
@@ -146,6 +243,7 @@ Transcript run_script(const Scenario& sc) {
     }
     const auto result = client.multi_get(batch);
     digest_result(result, digest);
+    digest_result(result, results);
     t.duplicates += batch.size() - result.values.size() - result.missing.size();
     t.missing += result.missing.size();
     t.round2 += result.round2_transactions;
@@ -155,6 +253,8 @@ Transcript run_script(const Scenario& sc) {
   }
   t.digest = digest.value();
   t.frames = recording.frames();
+  t.results = results.value();
+  t.stats = client.failure_stats();
   return t;
 }
 
@@ -192,6 +292,43 @@ TEST(WireTranscript, CrashedServerRecoverRoundsAndReprobes) {
   EXPECT_GT(t.marked_down, 0u);
   EXPECT_GT(t.round2, 0u);
   EXPECT_GT(t.hitchhikes, 0u);
+}
+
+void expect_same_stats(const kv::KvFailureStats& a,
+                       const kv::KvFailureStats& b) {
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.transport_errors, b.transport_errors);
+  EXPECT_EQ(a.malformed_responses, b.malformed_responses);
+  EXPECT_EQ(a.empty_responses, b.empty_responses);
+  EXPECT_EQ(a.hedged_sends, b.hedged_sends);
+  EXPECT_EQ(a.hedge_wins, b.hedge_wins);
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+  EXPECT_EQ(a.recover_rounds, b.recover_rounds);
+}
+
+TEST(WireTranscript, EagerWavesReturnWhatTheLazyScheduleReturns) {
+  const Scenario scenarios[] = {
+      {/*preinstall_replicas=*/true, /*hitchhiking=*/true, ""},
+      {/*preinstall_replicas=*/false, /*hitchhiking=*/false, ""},
+      {/*preinstall_replicas=*/false, /*hitchhiking=*/true, "crash@2=0:150"},
+  };
+  for (const Scenario& sc : scenarios) {
+    SCOPED_TRACE(sc.fault_spec);
+    const Transcript lazy = run_script(sc);
+    const Transcript eager = run_script(sc, /*eager=*/true);
+    EXPECT_EQ(eager.results, lazy.results);
+    expect_same_stats(eager.stats, lazy.stats);
+    EXPECT_GE(eager.shape.max_gets_in_flight, 2u);
+    EXPECT_EQ(eager.shape.late_issues, 0u);
+    EXPECT_EQ(eager.shape.gets_past_writebacks, 0u);
+    if (!sc.preinstall_replicas) {
+      // Round 2 ran with write-backs going out while later round-2 frames
+      // were still in flight.
+      EXPECT_GT(lazy.round2, 0u);
+      EXPECT_GT(eager.shape.overlapped_writebacks, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -56,6 +56,68 @@ TEST(FrameSplitter, ByteAtATimeFeeding) {
   EXPECT_EQ(frames[1], "get a\r\n");
 }
 
+TEST(FrameSplitter, MebibyteFramesFedByteAtATimeScanLinearly) {
+  // A 1 MiB set (header, then a data block) and a 1 MiB command line,
+  // dribbled one byte per feed: the CRLF search resumes where it stopped
+  // and the header is parsed once, so the bytes examined stay a small
+  // multiple of the bytes fed instead of growing with their square.
+  std::string wire;
+  encode_set("big", std::string(1 << 20, 'x'), /*pin=*/false, wire);
+  const std::size_t set_size = wire.size();
+  wire += "get " + std::string(1 << 20, 'k') + "\r\n";
+  FrameSplitter s;
+  std::vector<std::string> frames;
+  std::string frame;
+  for (const char c : wire) {
+    s.feed(std::string_view(&c, 1));
+    while (s.next_frame(frame)) frames.push_back(frame);
+  }
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0], wire.substr(0, set_size));
+  EXPECT_EQ(frames[1], wire.substr(set_size));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_LE(s.scanned(), 2 * wire.size());
+}
+
+TEST(ReplySplitter, SplitsEveryReplyShapeAtEveryOffset) {
+  const std::vector<std::string> replies = {
+      "STORED\r\n",
+      "VALUE k 0 3\r\nabc\r\nEND\r\n",
+      "END\r\n",
+      "VALUE a 0 4\r\n\r\n\r\n\r\nVALUE b 5 0 9\r\n\r\nEND\r\n",
+      "SERVER_ERROR out of memory\r\n",
+  };
+  std::string wire;
+  for (const std::string& r : replies) wire += r;
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    ReplySplitter s;
+    std::vector<std::string> got;
+    std::string reply;
+    s.feed(std::string_view(wire).substr(0, split));
+    while (s.next_reply(reply)) got.push_back(reply);
+    s.feed(std::string_view(wire).substr(split));
+    while (s.next_reply(reply)) got.push_back(reply);
+    ASSERT_EQ(got, replies) << "split " << split;
+  }
+}
+
+TEST(ReplySplitter, MebibyteValueFedByteAtATimeScansLinearly) {
+  std::string wire = "VALUE big 0 " + std::to_string(1 << 20) + "\r\n";
+  wire += std::string(1 << 20, 'v') + "\r\nEND\r\n";
+  const std::string tail = "STORED\r\n";
+  ReplySplitter s;
+  std::vector<std::string> got;
+  std::string reply;
+  for (const char c : wire + tail) {
+    s.feed(std::string_view(&c, 1));
+    while (s.next_reply(reply)) got.push_back(reply);
+  }
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], wire);
+  EXPECT_EQ(got[1], tail);
+  EXPECT_LE(s.scanned(), 2 * (wire.size() + tail.size()));
+}
+
 TEST(TcpKv, SetGetOverRealSocket) {
   TcpKvServer server(1 << 20);
   TcpKvConnection conn(server.port());

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "setcover/baselines.hpp"
@@ -19,6 +20,10 @@ struct SolverCase {
   std::string name;
   Solver solve;
 };
+
+// gtest would otherwise dump the param's raw bytes, heap pointers included,
+// into every test name.
+void PrintTo(const SolverCase& c, std::ostream* os) { *os << c.name; }
 
 class CoverSolverProperty : public ::testing::TestWithParam<SolverCase> {
  protected:
