@@ -132,7 +132,8 @@ struct StrategyResult {
 StrategyResult run_strategy(ServerGroup& group, const Params& p,
                             const std::string& strategy,
                             const std::vector<std::string>& universe,
-                            obs::Tracer* tracer) {
+                            obs::Tracer* tracer, MetricsCollector* collector,
+                            std::uint64_t collector_ms) {
   struct Worker {
     StrategyResult partial;
     std::chrono::steady_clock::time_point start;
@@ -246,7 +247,12 @@ StrategyResult run_strategy(ServerGroup& group, const Params& p,
   }
 
   start_line.arrive_and_wait();
+  // The collector scrapes inside the tracer's window only: a scrape that
+  // straddled the install or the removal would leave a half-traced stats
+  // transaction on the server.
+  if (collector != nullptr) collector->start(collector_ms);
   for (auto& t : threads) t.join();
+  if (collector != nullptr) collector->stop();
   if (tracer != nullptr) obs::Tracer::set_current(nullptr);
 
   StrategyResult total;
@@ -449,15 +455,14 @@ int run(int argc, char** argv) {
       collector = std::make_unique<MetricsCollector>(*monitor);
       if (!collector_json.empty())
         collector->recorder().install_dump(collector_json, SIGTERM);
-      collector->start(collector_ms);
     }
     const std::uint64_t marks_before = group.view().down_marks();
     const std::uint64_t recoveries_before = group.view().recoveries();
-    row.run = run_strategy(group, params, strategy, universe, tracer.get());
+    row.run = run_strategy(group, params, strategy, universe, tracer.get(),
+                           collector.get(), collector_ms);
     row.down_marks = group.view().down_marks() - marks_before;
     row.recoveries = group.view().recoveries() - recoveries_before;
     if (collector != nullptr) {
-      collector->stop();
       collector->scrape_once(collector->elapsed_us());  // closing rollup
       const obs::ClusterSample sample = collector->last_sample();
       const obs::HealthVerdict verdict = collector->last_verdict();

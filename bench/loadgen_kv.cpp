@@ -10,20 +10,22 @@
 //   baseline   LoopbackTransport — plain MemTable engine behind the
 //              per-server dispatch mutex (the historical single-dispatch
 //              model; every request serializes).
-//   sharded    ShardedLoopbackTransport — striped per-shard locks, no
-//              transport mutex; swept over shard counts 1, 2, 4, ... so the
-//              output is the scaling curve directly.
+//   sharded    ShardedMapLoopbackTransport (or the --engine's sharded
+//              fleet) — striped per-shard locks, no transport mutex; swept
+//              over shard counts 1, 2, 4, ... so the output is the scaling
+//              curve directly.
 //
 // `--mode=tcp` runs the same loop over real sockets (M connections per
 // thread), paying syscall + copy costs; there is no single-mutex TCP
 // baseline because the sharded engine replaced it — use `--shards=1` for
 // the single-lock-domain point. `--model=threads|reactor|both` picks the
-// serving core: blocking thread-per-connection (TcpKvServer) or the epoll
-// reactor (ReactorKvServer); rows are named `tcp-threads` / `tcp-reactor`.
+// serving core: blocking thread-per-connection or the epoll reactor; rows
+// are named `tcp-threads` / `tcp-reactor`.
 //
 // `--engine=map,slab,swiss` sweeps the storage engine behind the serving
-// path (std::unordered_map LRU, memcached-style slab classes, or the
-// open-addressing swiss table of kv/swiss_memtable.hpp); each listed
+// path (std::unordered_map LRU — the ShardedMap* servers, the default —
+// memcached-style slab classes, or the open-addressing swiss table of
+// kv/swiss_memtable.hpp, which the serving-name servers run); each listed
 // engine becomes one `store=<name>` row per (model, shards) point in the
 // same run, so speedup_vs_first_row reads directly as "vs the first
 // listed engine" — the engine-sweep rows in BENCH_loadgen.json pin
@@ -397,13 +399,13 @@ Row run_sharded_store(const Params& p,
                       std::uint64_t shards, const std::string& store,
                       obs::Tracer* tracer, obs::SlowLog* slow) {
   if (store == "swiss")
-    return run_sharded<SwissLoopbackTransport>(p, universe, budget_for(p),
-                                               shards, store, tracer, slow);
+    return run_sharded<ShardedLoopbackTransport>(p, universe, budget_for(p),
+                                                 shards, store, tracer, slow);
   if (store == "slab")
     return run_sharded<ShardedSlabLoopbackTransport>(
         p, universe, slab_config_for(p), shards, store, tracer, slow);
-  return run_sharded<ShardedLoopbackTransport>(p, universe, budget_for(p),
-                                               shards, store, tracer, slow);
+  return run_sharded<ShardedMapLoopbackTransport>(p, universe, budget_for(p),
+                                                  shards, store, tracer, slow);
 }
 
 /// Boot one TCP server for the requested (storage engine, serving model)
@@ -413,10 +415,9 @@ std::unique_ptr<WireServer> boot_tcp(const Params& p, const std::string& store,
   const bool reactor = model == ServerModel::kReactor;
   if (store == "swiss") {
     if (reactor)
-      return std::make_unique<SwissReactorKvServer>(budget_for(p),
-                                                    /*port=*/0, shards);
-    return std::make_unique<SwissTcpKvServer>(budget_for(p), /*port=*/0,
-                                              shards);
+      return std::make_unique<ReactorKvServer>(budget_for(p), /*port=*/0,
+                                               shards);
+    return std::make_unique<TcpKvServer>(budget_for(p), /*port=*/0, shards);
   }
   if (store == "slab") {
     if (reactor)
@@ -426,9 +427,9 @@ std::unique_ptr<WireServer> boot_tcp(const Params& p, const std::string& store,
                                              shards);
   }
   if (reactor)
-    return std::make_unique<ReactorKvServer>(budget_for(p), /*port=*/0,
-                                             shards);
-  return std::make_unique<TcpKvServer>(budget_for(p), /*port=*/0, shards);
+    return std::make_unique<MapReactorKvServer>(budget_for(p), /*port=*/0,
+                                                shards);
+  return std::make_unique<MapTcpKvServer>(budget_for(p), /*port=*/0, shards);
 }
 
 Row run_tcp(const Params& p, const std::vector<std::string>& universe,

@@ -3,11 +3,7 @@
 //
 //   build/examples/kvperf [--clients=2] [--keys-per-get=10] [--seconds=2]
 //                         [--value-bytes=10] [--universe=20000]
-//                         [--set-every=1000] [--udp=1]
-//
-// --udp=1 switches the client threads to datagrams (no retries; timeouts
-// are counted) — reproducing the paper's Appendix A observation that UDP
-// under maximum load loses traffic where TCP flow-controls.
+//                         [--set-every=1000]
 //
 // Spins up one TCP server and hammers it from N client threads issuing
 // multi-gets of the given size (with one set per `set-every` gets, like
@@ -22,7 +18,6 @@
 
 #include "kv/protocol.hpp"
 #include "kv/tcp.hpp"
-#include "kv/udp.hpp"
 
 namespace {
 
@@ -41,7 +36,6 @@ std::uint64_t arg_u64(int argc, char** argv, const std::string& key,
 struct ClientTotals {
   std::uint64_t transactions = 0;
   std::uint64_t keys = 0;
-  std::uint64_t timeouts = 0;
 };
 
 }  // namespace
@@ -53,29 +47,20 @@ int main(int argc, char** argv) {
   const std::uint64_t value_bytes = arg_u64(argc, argv, "value-bytes", 10);
   const std::uint64_t universe = arg_u64(argc, argv, "universe", 20000);
   const std::uint64_t set_every = arg_u64(argc, argv, "set-every", 1000);
-  const bool use_udp = arg_u64(argc, argv, "udp", 0) != 0;
 
-  // Both servers share nothing; only the selected one is exercised.
-  auto tcp_server = std::make_unique<kv::TcpKvServer>(256u << 20);
-  auto udp_server = std::make_unique<kv::UdpKvServer>(256u << 20);
+  kv::TcpKvServer server(256u << 20);
   std::cout << "kvperf: " << clients << " clients, " << keys_per_get
-            << " keys/get, " << value_bytes << "B values ("
-            << (use_udp ? "UDP port " : "TCP port ")
-            << (use_udp ? udp_server->port() : tcp_server->port()) << ")\n";
+            << " keys/get, " << value_bytes << "B values (TCP port "
+            << server.port() << ")\n";
 
-  // Populate (over TCP even in UDP mode: setup should not time out).
   {
-    kv::TcpKvConnection conn(tcp_server->port());
-    kv::UdpKvConnection udp_conn(udp_server->port());
+    kv::TcpKvConnection conn(server.port());
     std::string req, resp;
     const std::string value(value_bytes, 'x');
     for (std::uint64_t i = 0; i < universe; ++i) {
       req.clear();
       kv::encode_set("key:" + std::to_string(i), value, false, req);
-      if (use_udp)
-        udp_conn.roundtrip(req);
-      else
-        conn.roundtrip(req, resp);
+      conn.roundtrip(req, resp);
     }
   }
 
@@ -85,20 +70,15 @@ int main(int argc, char** argv) {
   threads.reserve(clients);
   for (std::uint64_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
-      kv::TcpKvConnection conn(tcp_server->port());
-      kv::UdpKvConnection udp_conn(udp_server->port());
+      kv::TcpKvConnection conn(server.port());
       std::string req, resp;
       const std::string value(value_bytes, 'y');
       std::vector<std::string> keys(keys_per_get);
       std::uint64_t cursor = c * (universe / std::max<std::uint64_t>(clients, 1));
       std::uint64_t gets = 0;
       const auto send = [&](std::uint64_t keys_in_txn) {
-        if (use_udp) {
-          if (udp_conn.roundtrip(req)) totals[c].keys += keys_in_txn;
-        } else {
-          conn.roundtrip(req, resp);
-          totals[c].keys += keys_in_txn;
-        }
+        conn.roundtrip(req, resp);
+        totals[c].keys += keys_in_txn;
       };
       while (!stop.load(std::memory_order_relaxed)) {
         req.clear();
@@ -115,7 +95,6 @@ int main(int argc, char** argv) {
         }
         ++totals[c].transactions;
       }
-      totals[c].timeouts = udp_conn.timeouts();
     });
   }
 
@@ -123,24 +102,18 @@ int main(int argc, char** argv) {
   stop.store(true);
   for (auto& t : threads) t.join();
 
-  std::uint64_t transactions = 0, keys = 0, timeouts = 0;
+  std::uint64_t transactions = 0, keys = 0;
   for (const auto& t : totals) {
     transactions += t.transactions;
     keys += t.keys;
-    timeouts += t.timeouts;
   }
   const double secs = static_cast<double>(seconds);
   std::cout << "transactions/s  " << static_cast<std::uint64_t>(
                    static_cast<double>(transactions) / secs)
             << "\nitems/s         "
             << static_cast<std::uint64_t>(static_cast<double>(keys) / secs)
-            << "\ntimeouts        " << timeouts
-            << "\nserver counters: "
-            << (use_udp ? udp_server->server().counters().transactions
-                        : tcp_server->server().counters().transactions)
-            << " transactions, "
-            << (use_udp ? udp_server->server().counters().keys_returned
-                        : tcp_server->server().counters().keys_returned)
+            << "\nserver counters: " << server.server().counters().transactions
+            << " transactions, " << server.server().counters().keys_returned
             << " keys returned\n";
   return 0;
 }

@@ -7,6 +7,7 @@
 
 #include "kv/protocol.hpp"
 #include "obs/hdr_histogram.hpp"
+#include "obs/trace.hpp"
 
 namespace rnb::dserve {
 namespace {
@@ -83,9 +84,16 @@ obs::HealthVerdict MetricsCollector::scrape_once(std::uint64_t now_us) {
   sample.up.assign(fleet, 0);
   sample.server_txns_per_s.assign(fleet, 0.0);
 
+  // Each sweep is one trace when a tracer is installed: the stats frames
+  // carry the sweep's root span, so every server's stats transaction
+  // stitches under it instead of rooting a context-free tree.
+  obs::SpanScope scrape_span("scrape", "collector",
+                             obs::SpanScope::Kind::kRoot);
+  const obs::TraceContext ctx = scrape_span.context();
   obs::Histogram merged(7);
   std::string request;
-  kv::encode_stats(request);
+  kv::encode_stats(request,
+                   kv::TraceTag{ctx.trace_id, ctx.span_id, ctx.sampled});
 
   for (ServerId s = 0; s < fleet; ++s) {
     std::string response;

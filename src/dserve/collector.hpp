@@ -89,7 +89,9 @@ class MetricsCollector {
                         std::function<std::string()> render);
 
   /// One sweep at caller-supplied time: scrape every server + local
-  /// source, ingest, roll up, assess, record. Returns the verdict.
+  /// source, ingest, roll up, assess, record. Returns the verdict. Under
+  /// a tracer the sweep is a root `scrape` span, and the stats frames
+  /// carry its trace tag.
   obs::HealthVerdict scrape_once(std::uint64_t now_us);
 
   /// Spawn the wall-clock scrape thread (idempotent). Timestamps are

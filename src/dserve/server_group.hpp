@@ -2,8 +2,8 @@
 //
 // The simulator's RnbCluster owns N TwoClassStore servers; this is its
 // wire counterpart: N mini-memcached servers, each an overbooked two-class
-// sharded store (pinned distinguished copies outside the byte budget,
-// evictable replica class inside it — kv/memtable.hpp), reachable either
+// sharded swiss store (pinned distinguished copies outside the byte budget,
+// evictable replica class inside it — kv/swiss_memtable.hpp), reachable either
 // in-process (deterministic loopback, no kernel in the path) or over real
 // TCP sockets (thread-per-connection servers on loopback ports).
 //

@@ -7,13 +7,18 @@
 // lookup, value copy).
 //
 // BasicKvServer is generic over the engine: MemTable (byte-budget global
-// LRU — the default, simple and predictable), SlabMemTable (memcached's
-// slab classes with per-class LRU), or the sharded wrappers of either
-// (striped locks, one LRU domain per shard). Request counters are relaxed
-// atomics, so handle() is exactly as thread-safe as the engine underneath:
-// with a sharded engine concurrent handle() calls are safe and scale; with
-// a plain engine the caller serializes (the loopback transport's dispatch
-// mutex, or the old single-dispatch TCP loop).
+// LRU — the reference oracle), SlabMemTable (memcached's slab classes with
+// per-class LRU), SwissMemTable (open addressing), or the sharded wrappers
+// of each (striped locks, one LRU domain per shard; the sharded swiss
+// table is the serving engine). Request counters are relaxed atomics, so
+// handle() is exactly as thread-safe as the engine underneath: with a
+// sharded engine concurrent handle() calls are safe and scale; with a
+// plain engine the caller serializes (the loopback transport's dispatch
+// mutex).
+//
+// A get copies each hit's value once out of the engine, into a per-thread
+// MultiGetArena under the engine's lock, and formats the response from
+// there in key order: no per-key allocation on the server.
 #pragma once
 
 #include <atomic>
@@ -156,12 +161,6 @@ class BasicKvServer {
       return nullptr;
   }
 
-  /// True when the engine supports the batched per-shard read path.
-  static constexpr bool kBatchedReads = requires(
-      Store& t, std::span<const std::string> keys,
-      std::vector<std::optional<typename Store::GetResult>>& out) {
-    t.multi_get(keys, out);
-  };
   /// True when the engine reports per-shard lock/eviction counters.
   static constexpr bool kShardMetrics = requires(const Store& t) {
     t.shard_count();
@@ -205,8 +204,7 @@ class BasicKvServer {
       return;
     }
     if (const auto* get = std::get_if<GetCommand>(&cmd)) {
-      std::vector<Value> values;
-      values.reserve(get->keys.size());
+      MultiGetArena& arena = read_arena();
       counters_.keys_requested.fetch_add(get->keys.size(),
                                          std::memory_order_relaxed);
       {
@@ -215,45 +213,45 @@ class BasicKvServer {
         const std::uint64_t contended = contended_before(dispatch_span);
         {
           obs::SpanScope handle_span("handle", "server");
-          if constexpr (kBatchedReads) {
-            // Sharded engine: decompose the transaction into per-shard
-            // sub-batches, one lock acquisition per involved shard, no
-            // global ordering. Results come back positionally so the
-            // response keeps request key order — byte-identical to the
-            // sequential loop.
-            std::vector<std::optional<typename Store::GetResult>> results;
-            table_.multi_get(get->keys, results);
-            for (std::size_t i = 0; i < get->keys.size(); ++i) {
-              if (results[i])
-                values.push_back(Value{get->keys[i],
-                                       std::move(results[i]->value),
-                                       results[i]->version});
-            }
-          } else {
-            for (const std::string& key : get->keys) {
-              if (auto hit = table_.get(key))
-                values.push_back(
-                    Value{key, std::move(hit->value), hit->version});
-            }
-          }
+          read_values(get->keys, arena);
           handle_span.arg("keys",
                           static_cast<std::int64_t>(get->keys.size()));
-          handle_span.arg("hits", static_cast<std::int64_t>(values.size()));
+          handle_span.arg("hits", static_cast<std::int64_t>(arena.hits()));
         }
         annotate_lock_wait(dispatch_span, contended);
       }
-      counters_.keys_returned.fetch_add(values.size(),
+      counters_.keys_returned.fetch_add(arena.hits(),
                                         std::memory_order_relaxed);
       txn_span.arg("keys", static_cast<std::int64_t>(get->keys.size()));
-      txn_span.arg("hits", static_cast<std::int64_t>(values.size()));
+      txn_span.arg("hits", static_cast<std::int64_t>(arena.hits()));
       format_response(
-          [&] { encode_values(values, get->with_versions, response); },
+          [&] {
+            for (std::size_t i = 0; i < get->keys.size(); ++i) {
+              if (arena.found(i))
+                encode_value(ValueView{get->keys[i], arena.value(i),
+                                       arena.version(i)},
+                             get->with_versions, response);
+            }
+            encode_simple("END", response);
+          },
           response);
       return;
     }
     if (std::holds_alternative<StatsCommand>(cmd)) {
-      obs::SpanScope handle_span("handle", "server");
-      write_stats(response);
+      obs::MetricsRegistry registry;
+      {
+        obs::SpanScope dispatch_span("dispatch", "server");
+        obs::SpanScope handle_span("handle", "server");
+        collect_stats(registry);
+      }
+      format_response(
+          [&] {
+            std::ostringstream os;
+            registry.write_prometheus(os);
+            response += os.str();
+            encode_simple("END", response);
+          },
+          response);
       return;
     }
     if (const auto* set = std::get_if<SetCommand>(&cmd)) {
@@ -376,6 +374,26 @@ class BasicKvServer {
     }
   }
 
+  /// The calling thread's read arena. Concurrent handle() calls on a
+  /// sharded engine each fill their own; a warm one allocates nothing.
+  static MultiGetArena& read_arena() {
+    thread_local MultiGetArena arena;
+    return arena;
+  }
+
+  /// Fill `arena` with the hits for `keys`, in request order. A sharded
+  /// engine batches per shard under its own locks; a plain engine is read
+  /// key by key, its caller serializing every handle().
+  void read_values(std::span<const std::string> keys, MultiGetArena& arena) {
+    if constexpr (requires { table_.multi_get(keys, arena); }) {
+      table_.multi_get(keys, arena);
+    } else {
+      arena.reset(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        if (const auto hit = table_.get_view(keys[i])) arena.put(i, *hit);
+    }
+  }
+
   /// Run the encoder under a "format" span that reports response bytes.
   template <typename Encode>
   void format_response(Encode&& encode, std::string& response) {
@@ -475,12 +493,12 @@ class BasicKvServer {
     }
   };
 
-  /// `stats` response: Prometheus text exposition (0.0.4) framed by a
-  /// trailing "END\r\n". Built fresh per call — stats is a cold path and a
-  /// throwaway registry keeps the hot counters plain relaxed increments.
-  void write_stats(std::string& response) const {
+  /// `stats` series, into a registry built fresh per call — stats is a
+  /// cold path and a throwaway registry keeps the hot counters plain
+  /// relaxed increments. The response is its Prometheus text exposition
+  /// (0.0.4) framed by a trailing "END\r\n".
+  void collect_stats(obs::MetricsRegistry& registry) const {
     const ServerCounters snap = counters_.snapshot();
-    obs::MetricsRegistry registry;
     registry
         .counter("rnb_kv_transactions_total",
                  "Request frames handled (stats included)")
@@ -615,10 +633,6 @@ class BasicKvServer {
       }
     }
     if (stats_hook_) stats_hook_(registry);
-    std::ostringstream os;
-    registry.write_prometheus(os);
-    response += os.str();
-    encode_simple("END", response);
   }
 
   static std::string hex_string(std::uint64_t id) {
@@ -645,28 +659,30 @@ class BasicKvServer {
   obs::SlowLog slow_log_{8};
 };
 
-/// Default engine: byte-budget global-LRU MemTable (single lock domain;
+/// Reference engine: byte-budget global-LRU MemTable (single lock domain;
 /// callers serialize).
 using KvServer = BasicKvServer<MemTable>;
 
 /// Memcached-faithful engine: slab classes with per-class LRU.
 using SlabKvServer = BasicKvServer<SlabMemTable>;
 
-/// Concurrent engine: sharded MemTable with striped locks — handle() is
-/// thread-safe and scales with cores. One shard reproduces KvServer's
-/// responses byte-for-byte.
-using ShardedKvServer = BasicKvServer<ShardedMemTable>;
-
-/// Concurrent memcached-faithful engine: sharded slab arenas.
-using ShardedSlabKvServer = BasicKvServer<ShardedSlabMemTable>;
-
 /// Open-addressing engine: swiss-table layout with slab-backed payloads.
 /// Observably identical responses to KvServer for the same operation
 /// sequence (the equivalence fuzz pins this).
 using SwissKvServer = BasicKvServer<SwissMemTable>;
 
-/// Concurrent swiss engine — the serving-path default candidate: sharded
-/// swiss tables with hash-once routing and batched per-shard reads.
-using ShardedSwissKvServer = BasicKvServer<ShardedSwissMemTable>;
+/// The serving engine: sharded swiss tables with striped locks, hash-once
+/// routing and batched per-shard reads — handle() is thread-safe and
+/// scales with cores. Every ServerGroup, TcpFleet and elastic member runs
+/// it.
+using ShardedKvServer = BasicKvServer<ShardedSwissMemTable>;
+
+/// Sharded MemTable: the concurrent form of the reference engine (the
+/// loadgen `store=map` rows). One shard reproduces KvServer's responses
+/// byte-for-byte.
+using ShardedMapKvServer = BasicKvServer<ShardedMemTable>;
+
+/// Concurrent memcached-faithful engine: sharded slab arenas.
+using ShardedSlabKvServer = BasicKvServer<ShardedSlabMemTable>;
 
 }  // namespace rnb::kv

@@ -64,7 +64,7 @@ bool MemTable::set(std::string_view key, std::string_view value, bool pinned) {
   return true;
 }
 
-std::optional<MemTable::GetResult> MemTable::get(std::string_view key) {
+std::optional<ValueRef> MemTable::get_view(std::string_view key) {
   const auto it = table_.find(key);
   if (it == table_.end()) {
     ++stats_.misses;
@@ -74,25 +74,24 @@ std::optional<MemTable::GetResult> MemTable::get(std::string_view key) {
   Entry& e = it->second;
   if (!e.pinned && e.lru_pos != lru_.begin())
     lru_.splice(lru_.begin(), lru_, e.lru_pos);
-  return GetResult{e.value, e.version};
+  return ValueRef{e.value, e.version};
 }
 
 MemTable::FastGetOutcome MemTable::fast_get(std::string_view key,
-                                            GetResult& out) const {
+                                            ValueRef& out) const {
   const auto it = table_.find(key);
   if (it == table_.end()) return FastGetOutcome::kMiss;
   const Entry& e = it->second;
   if (!e.pinned && e.lru_pos != lru_.begin())
     return FastGetOutcome::kNeedsRecency;
-  out.value = e.value;
-  out.version = e.version;
+  out = ValueRef{e.value, e.version};
   return FastGetOutcome::kHit;
 }
 
-std::optional<MemTable::GetResult> MemTable::peek(std::string_view key) const {
+std::optional<ValueRef> MemTable::peek_view(std::string_view key) const {
   const auto it = table_.find(key);
   if (it == table_.end()) return std::nullopt;
-  return GetResult{it->second.value, it->second.version};
+  return ValueRef{it->second.value, it->second.version};
 }
 
 MemTable::CasOutcome MemTable::cas(std::string_view key, std::uint64_t expected,

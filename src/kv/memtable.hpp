@@ -12,6 +12,7 @@
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +34,26 @@ struct TransparentStringHash {
   }
 };
 
+/// A stored value read in place. The bytes stay owned by the engine and
+/// are valid only until that engine's next mutation, so a view read is
+/// used only under whatever lock keeps the engine's writers out.
+struct ValueRef {
+  std::string_view value;
+  std::uint64_t version = 0;
+};
+
+/// An owned copy of a stored value: what the copying get()/peek() return.
+struct ValueCopy {
+  std::string value;
+  std::uint64_t version = 0;
+};
+
+/// The copying reads are this wrapper over the view reads.
+inline std::optional<ValueCopy> copy_of(const std::optional<ValueRef>& ref) {
+  if (!ref) return std::nullopt;
+  return ValueCopy{std::string(ref->value), ref->version};
+}
+
 /// One entry surfaced by an engine scan (replica migration's unit of work).
 /// Carries the pinned bit so migration preserves the two service classes.
 struct ScanEntry {
@@ -51,21 +72,27 @@ class MemTable {
   /// accounted separately and never evicted.
   explicit MemTable(std::size_t byte_budget);
 
-  struct GetResult {
-    std::string value;
-    std::uint64_t version;
-  };
+  using GetResult = ValueCopy;
 
   /// Store (insert or overwrite). Pinned stores always succeed; unpinned
   /// stores evict LRU entries as needed and fail (returning false) only if
   /// the value alone exceeds the byte budget.
   bool set(std::string_view key, std::string_view value, bool pinned = false);
 
-  /// Fetch, refreshing LRU recency for evictable entries.
-  std::optional<GetResult> get(std::string_view key);
+  /// View read: fetch in place, refreshing LRU recency for evictable
+  /// entries. The view dies with the table's next mutation (see ValueRef).
+  std::optional<ValueRef> get_view(std::string_view key);
 
-  /// Fetch without touching recency (hitchhiker probes, tests).
-  std::optional<GetResult> peek(std::string_view key) const;
+  /// View read without touching recency (hitchhiker probes, tests).
+  std::optional<ValueRef> peek_view(std::string_view key) const;
+
+  /// Copying get_view / peek_view.
+  std::optional<GetResult> get(std::string_view key) {
+    return copy_of(get_view(key));
+  }
+  std::optional<GetResult> peek(std::string_view key) const {
+    return copy_of(peek_view(key));
+  }
 
   /// Outcome of a mutation-free read attempt (see fast_get).
   enum class FastGetOutcome { kHit, kMiss, kNeedsRecency };
@@ -73,11 +100,11 @@ class MemTable {
   /// Resolve a get if — and only if — doing so mutates nothing: the entry
   /// is pinned (no recency) or already at the MRU position. Misses also
   /// resolve (a miss moves nothing). kNeedsRecency means the entry exists
-  /// but its LRU position must move; the caller retries with get() under
-  /// whatever write exclusion it maintains. Never touches stats() — the
-  /// sharded wrapper counts fast-path hits/misses itself, so aggregate
-  /// accounting matches the plain-get path exactly.
-  FastGetOutcome fast_get(std::string_view key, GetResult& out) const;
+  /// but its LRU position must move; the caller retries with get_view()
+  /// under whatever write exclusion it maintains. Never touches stats() —
+  /// the sharded wrapper counts fast-path hits/misses itself, so aggregate
+  /// accounting matches the plain-get path exactly. A hit is a view read.
+  FastGetOutcome fast_get(std::string_view key, ValueRef& out) const;
 
   /// Compare-and-swap: store only if the entry exists with `expected`
   /// version. Returns kStored, kExists (version mismatch) or kNotFound.

@@ -32,6 +32,13 @@ constexpr std::string_view kTracePrefix = "@trace=";
 constexpr std::string_view kEpochPrefix = "@epoch=";
 constexpr std::string_view kWrongEpochToken = "WRONG_EPOCH";
 
+/// `v` in decimal, as std::to_string spells it, without a temporary.
+void append_decimal(std::uint64_t v, std::string& out) {
+  char buf[20];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, end);
+}
+
 void append_hex(std::uint64_t id, std::string& out) {
   char buf[16];
   std::size_t n = 0;
@@ -163,6 +170,10 @@ std::optional<Command> parse_command(std::string_view frame,
     cmd.trace = trace;
     cmd.epoch = epoch;
     cmd.with_versions = verb == "gets";
+    // Count first, so a get frame makes its one allocation here.
+    std::size_t count = 0;
+    for (std::string_view rest = line; !next_token(rest).empty();) ++count;
+    cmd.keys.reserve(count);
     for (std::string_view key = next_token(line); !key.empty();
          key = next_token(line))
       cmd.keys.emplace_back(key);
@@ -403,25 +414,29 @@ std::uint64_t command_epoch(const Command& cmd) {
   return std::visit([](const auto& c) { return c.epoch; }, cmd);
 }
 
+void encode_value(const ValueView& value, bool with_versions,
+                  std::string& out) {
+  out += "VALUE ";
+  out += value.key;
+  out += ' ';
+  append_decimal(value.flags, out);
+  out += ' ';
+  append_decimal(value.data.size(), out);
+  if (with_versions) {
+    out += ' ';
+    append_decimal(value.version, out);
+  }
+  out += kCrlf;
+  out += value.data;
+  out += kCrlf;
+}
+
 void encode_values(const std::vector<Value>& values, bool with_versions,
                    std::string& out) {
-  for (const Value& v : values) {
-    out += "VALUE ";
-    out += v.key;
-    out += ' ';
-    out += std::to_string(v.flags);
-    out += ' ';
-    out += std::to_string(v.data.size());
-    if (with_versions) {
-      out += ' ';
-      out += std::to_string(v.version);
-    }
-    out += kCrlf;
-    out += v.data;
-    out += kCrlf;
-  }
-  out += "END";
-  out += kCrlf;
+  for (const Value& v : values)
+    encode_value(ValueView{v.key, v.data, v.version, v.flags}, with_versions,
+                 out);
+  encode_simple("END", out);
 }
 
 void encode_simple(std::string_view token, std::string& out) {

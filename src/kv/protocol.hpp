@@ -213,19 +213,25 @@ struct Value {
   std::uint32_t flags = 0;    // pinned bit in scan responses
 };
 
-/// Response encoders for server use.
-void encode_values(const std::vector<Value>& values, bool with_versions,
-                   std::string& out);
-void encode_simple(std::string_view token, std::string& out);  // STORED etc.
-
-/// One returned value as views into the response frame it was parsed from;
-/// valid only while that frame's bytes are.
+/// One returned value as views: into the response frame it was parsed
+/// from, or into the server's read arena while a response is formatted.
+/// Valid only while those bytes are.
 struct ValueView {
   std::string_view key;
   std::string_view data;
   std::uint64_t version = 0;
   std::uint32_t flags = 0;
 };
+
+/// Response encoders for server use. encode_value formats one VALUE block
+/// (`VALUE <key> <flags> <bytes>[ <version>]` + data); encode_values and
+/// the server's get path both go through it, so their bytes cannot drift.
+/// A VALUE response ends with encode_simple("END").
+void encode_value(const ValueView& value, bool with_versions,
+                  std::string& out);
+void encode_values(const std::vector<Value>& values, bool with_versions,
+                   std::string& out);
+void encode_simple(std::string_view token, std::string& out);  // STORED etc.
 
 /// Parse a get/gets response ("VALUE ... END") into `out` (cleared first)
 /// without copying keys or data. Returns false on parse failure, leaving

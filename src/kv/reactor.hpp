@@ -271,12 +271,12 @@ class BasicReactorKvServer final : public WireServer {
   ReactorServerCore core_;
 };
 
-/// The default reactor server: sharded map engine (the historical
-/// ReactorKvServer).
+/// The serving reactor server: the sharded swiss engine (ShardedKvServer).
 using ReactorKvServer = BasicReactorKvServer<ShardedKvServer>;
 
-/// Sharded swiss engine over the same loop (`loadgen_kv --engine=swiss`).
-using SwissReactorKvServer = BasicReactorKvServer<ShardedSwissKvServer>;
+/// Sharded reference (map) engine over the same loop
+/// (`loadgen_kv --engine=map`).
+using MapReactorKvServer = BasicReactorKvServer<ShardedMapKvServer>;
 
 /// Sharded slab engine over the same loop (`loadgen_kv --engine=slab`).
 using SlabReactorKvServer = BasicReactorKvServer<ShardedSlabKvServer>;

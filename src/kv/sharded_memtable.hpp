@@ -21,9 +21,11 @@
 //
 // Concurrency contract: individual operations are linearizable per key
 // (each key lives in exactly one shard). multi_get takes each involved
-// shard's lock once, so a batch is atomic per shard but NOT across shards —
-// exactly the semantics a multi-get spread over independent servers already
-// has, which is why the paper's transaction accounting is unaffected.
+// shard's lock at most twice, so a batch is atomic per shard but NOT across
+// shards — exactly the semantics a multi-get spread over independent
+// servers already has, which is why the paper's transaction accounting is
+// unaffected. Reads are view reads: each hit's bytes are copied once, out
+// of the engine under the shard lock, into the caller's MultiGetArena.
 #pragma once
 
 #include <atomic>
@@ -38,6 +40,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/lru_cache.hpp"  // CacheStats
@@ -52,6 +55,47 @@
 namespace rnb::kv {
 
 using rnb::resolve_shard_count;
+
+/// Caller-owned output of a batched read: every hit's value bytes back to
+/// back, plus one slot per requested key in request order. reset() keeps
+/// both buffers' capacity, so a warm arena fills without allocating.
+class MultiGetArena {
+ public:
+  /// Empty the arena and give it one not-found slot per key.
+  void reset(std::size_t keys) {
+    bytes_.clear();
+    slots_.assign(keys, Slot{});
+    hits_ = 0;
+  }
+  /// Copy a hit for key `i` (a view read still under its engine's lock).
+  void put(std::size_t i, const ValueRef& hit) {
+    slots_[i] = Slot{bytes_.size(), hit.value.size(), hit.version, true};
+    bytes_.append(hit.value);
+    ++hits_;
+  }
+
+  std::size_t size() const noexcept { return slots_.size(); }
+  std::size_t hits() const noexcept { return hits_; }
+  bool found(std::size_t i) const noexcept { return slots_[i].found; }
+  std::uint64_t version(std::size_t i) const noexcept {
+    return slots_[i].version;
+  }
+  std::string_view value(std::size_t i) const noexcept {
+    return {bytes_.data() + slots_[i].offset, slots_[i].length};
+  }
+
+ private:
+  struct Slot {
+    std::size_t offset = 0;
+    std::size_t length = 0;
+    std::uint64_t version = 0;
+    bool found = false;
+  };
+
+  std::string bytes_;
+  std::vector<Slot> slots_;
+  std::size_t hits_ = 0;
+};
 
 template <typename Engine>
 class BasicShardedTable {
@@ -68,9 +112,9 @@ class BasicShardedTable {
   /// exactly once per operation — routing, control bytes, and equality
   /// prefilter all derive from that one pass over the key bytes.
   static constexpr bool kHashedOps =
-      requires(Engine& e, const Engine& ce, typename Engine::GetResult& r) {
+      requires(Engine& e, const Engine& ce, ValueRef& r) {
         ce.fast_get_hashed(std::uint64_t{}, std::string_view{}, r);
-        e.get_hashed(std::uint64_t{}, std::string_view{});
+        e.get_view_hashed(std::uint64_t{}, std::string_view{});
         e.set_hashed(std::uint64_t{}, std::string_view{}, std::string_view{},
                      bool{});
         e.cas_hashed(std::uint64_t{}, std::string_view{}, std::uint64_t{},
@@ -120,26 +164,12 @@ class BasicShardedTable {
 
   std::optional<GetResult> get(std::string_view key) {
     const std::uint64_t h = fnv1a64(key);
-    Shard& s = *shards_[shard_index_of(h)];
-    {
-      const std::shared_lock lock(s.mu);
-      GetResult out;
-      switch (engine_fast_get(s.engine, h, key, out)) {
-        case MemTable::FastGetOutcome::kHit:
-          s.fast_hits.fetch_add(1, std::memory_order_relaxed);
-          return out;
-        case MemTable::FastGetOutcome::kMiss:
-          s.fast_misses.fetch_add(1, std::memory_order_relaxed);
-          return std::nullopt;
-        case MemTable::FastGetOutcome::kNeedsRecency:
-          break;  // escalate below
-      }
-    }
-    const std::unique_lock lock(s.mu);
-    if constexpr (kHashedOps)
-      return s.engine.get_hashed(h, key);
-    else
-      return s.engine.get(key);
+    std::optional<GetResult> out;
+    resolve_group(
+        *shards_[shard_index_of(h)], 1,
+        [&](std::size_t) { return std::pair{h, key}; },
+        [&](std::size_t, const ValueRef& hit) { out = copy_of(hit); });
+    return out;
   }
 
   std::optional<GetResult> peek(std::string_view key) const {
@@ -148,33 +178,32 @@ class BasicShardedTable {
     return s.engine.peek(key);
   }
 
-  /// Batched read: fills `out` (resized; same order as `keys`, nullopt =
-  /// miss) taking each involved shard's lock exactly once. Keys of one
-  /// shard are processed in request order under the shared lock until the
-  /// first entry that needs an LRU move, then the remainder under the
-  /// exclusive lock — so a single-threaded batch leaves the LRU chain in
-  /// exactly the state the sequential per-key loop would.
-  void multi_get(std::span<const std::string> keys,
-                 std::vector<std::optional<GetResult>>& out) {
-    out.clear();
-    out.resize(keys.size());
-    const std::size_t n = shards_.size();
-    if (keys.size() == 1) {
-      out[0] = get(keys[0]);
-      return;
-    }
+  /// Batched read into `arena` (reset to one slot per key, in request
+  /// order). Each hit's value is copied once, under its shard's lock. Keys
+  /// of one shard are processed in request order under the shared lock
+  /// until the first entry that needs an LRU move, then the remainder
+  /// under the exclusive lock — so a single-threaded batch leaves the LRU
+  /// chain in exactly the state the sequential per-key loop would.
+  void multi_get(std::span<const std::string> keys, MultiGetArena& arena) {
+    arena.reset(keys.size());
+    if (keys.empty()) return;
+    const auto put = [&arena](std::size_t i, const ValueRef& hit) {
+      arena.put(i, hit);
+    };
     // Per-thread scratch: a pipelined connection issues thousands of
     // batches, so the sort buffers are reused instead of reallocated.
     Scratch& sc = scratch();
     sc.hashes.resize(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i)
       sc.hashes[i] = fnv1a64(keys[i]);
-    if (n == 1) {
-      // Single shard: the whole batch is one group in request order.
-      sc.order.resize(keys.size());
-      for (std::size_t i = 0; i < keys.size(); ++i)
-        sc.order[i] = static_cast<std::uint32_t>(i);
-      resolve_group(*shards_[0], keys, sc.hashes, sc.order, out);
+    const auto key_at = [&](std::size_t i) {
+      return std::pair{sc.hashes[i], std::string_view(keys[i])};
+    };
+    const std::size_t n = shards_.size();
+    if (keys.size() == 1 || n == 1) {
+      // One key, or one shard: the whole batch is one group.
+      resolve_group(*shards_[shard_index_of(sc.hashes[0])], keys.size(),
+                    key_at, put);
       return;
     }
     // Stable counting sort of key indices by shard: per-shard sub-batches
@@ -192,9 +221,11 @@ class BasicShardedTable {
       sc.order[sc.cursor[sc.shard_of[i]]++] = static_cast<std::uint32_t>(i);
     for (std::size_t s = 0; s < n; ++s) {
       if (sc.begin[s] == sc.begin[s + 1]) continue;
-      const std::span<const std::uint32_t> group(
-          sc.order.data() + sc.begin[s], sc.begin[s + 1] - sc.begin[s]);
-      resolve_group(*shards_[s], keys, sc.hashes, group, out);
+      const std::uint32_t* group = sc.order.data() + sc.begin[s];
+      resolve_group(
+          *shards_[s], sc.begin[s + 1] - sc.begin[s],
+          [&](std::size_t j) { return key_at(group[j]); },
+          [&](std::size_t j, const ValueRef& hit) { put(group[j], hit); });
     }
   }
 
@@ -359,45 +390,50 @@ class BasicShardedTable {
   static MemTable::FastGetOutcome engine_fast_get(const Engine& e,
                                                   std::uint64_t hash,
                                                   std::string_view key,
-                                                  GetResult& out) {
+                                                  ValueRef& out) {
     if constexpr (kHashedOps)
       return e.fast_get_hashed(hash, key, out);
     else
       return e.fast_get(key, out);
   }
 
-  /// One shard's sub-batch: request order under the shared lock until the
-  /// first entry needing an LRU move, remainder under the exclusive lock —
-  /// at most two lock acquisitions per shard per batch, and a
-  /// single-threaded batch leaves the LRU chain exactly as the sequential
-  /// per-key loop would.
-  void resolve_group(Shard& s, std::span<const std::string> keys,
-                     std::span<const std::uint64_t> hashes,
-                     std::span<const std::uint32_t> group,
-                     std::vector<std::optional<GetResult>>& out) {
-    std::size_t i = 0;
+  /// The one read path of the wrapper: `count` keys of one shard, where
+  /// `key_at(j)` gives the j-th as {fnv1a64 hash, key} in request order.
+  /// They are read under the shared lock until the first entry needing an
+  /// LRU move, the remainder under the exclusive lock — at most two lock
+  /// acquisitions per shard per batch, and a single-threaded batch leaves
+  /// the LRU chain exactly as the sequential per-key loop would.
+  /// `emit(j, hit)` runs for each hit while the lock is still held: the
+  /// view it receives dies with the lock.
+  template <typename KeyAt, typename Emit>
+  void resolve_group(Shard& s, std::size_t count, const KeyAt& key_at,
+                     const Emit& emit) {
+    std::size_t j = 0;
     {
       const std::shared_lock lock(s.mu);
-      for (; i < group.size(); ++i) {
-        GetResult r;
-        const auto outcome =
-            engine_fast_get(s.engine, hashes[group[i]], keys[group[i]], r);
+      for (; j < count; ++j) {
+        const auto [hash, key] = key_at(j);
+        ValueRef hit;
+        const auto outcome = engine_fast_get(s.engine, hash, key, hit);
         if (outcome == MemTable::FastGetOutcome::kNeedsRecency) break;
         if (outcome == MemTable::FastGetOutcome::kHit) {
           s.fast_hits.fetch_add(1, std::memory_order_relaxed);
-          out[group[i]] = std::move(r);
+          emit(j, hit);
         } else {
           s.fast_misses.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      if (i == group.size()) return;
+      if (j == count) return;
     }
     const std::unique_lock lock(s.mu);
-    for (; i < group.size(); ++i) {
+    for (; j < count; ++j) {
+      const auto [hash, key] = key_at(j);
+      std::optional<ValueRef> hit;
       if constexpr (kHashedOps)
-        out[group[i]] = s.engine.get_hashed(hashes[group[i]], keys[group[i]]);
+        hit = s.engine.get_view_hashed(hash, key);
       else
-        out[group[i]] = s.engine.get(keys[group[i]]);
+        hit = s.engine.get_view(key);
+      if (hit) emit(j, *hit);
     }
   }
 

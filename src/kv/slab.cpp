@@ -45,8 +45,7 @@ std::optional<std::uint32_t> SlabAllocator::size_class_of(
 
 bool SlabAllocator::grow_class(std::uint32_t cls) {
   if (pages_.size() >= page_budget()) return false;
-  pages_.push_back(std::make_unique<char[]>(config_.page_bytes));
-  char* page = pages_.back().get();
+  char* page = pages_.emplace_back(config_.page_bytes).data();
   SizeClass& c = classes_[cls];
   ++c.pages;
   c.free_chunks.reserve(c.free_chunks.size() + c.chunks_per_page);

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/error.hpp"
+#include "kv/page_mapping.hpp"
 
 namespace rnb::kv {
 
@@ -110,7 +110,9 @@ class SlabAllocator {
 
   SlabConfig config_;
   std::vector<SizeClass> classes_;
-  std::vector<std::unique_ptr<char[]>> pages_;
+  /// Mapped, not malloc'd: a page is resident only once a chunk of it is
+  /// written, and it goes back to the OS with the allocator.
+  std::vector<PageMapping> pages_;
   std::size_t overhead_bytes_ = 0;
 };
 

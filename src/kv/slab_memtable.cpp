@@ -66,8 +66,7 @@ bool SlabMemTable::set(std::string_view key, std::string_view value,
   return true;
 }
 
-std::optional<SlabMemTable::GetResult> SlabMemTable::get(
-    std::string_view key) {
+std::optional<ValueRef> SlabMemTable::get_view(std::string_view key) {
   const auto it = table_.find(key);
   if (it == table_.end()) {
     ++stats_.misses;
@@ -79,26 +78,24 @@ std::optional<SlabMemTable::GetResult> SlabMemTable::get(
     auto& lru = class_lru_[e.chunk.size_class];
     if (e.lru_pos != lru.begin()) lru.splice(lru.begin(), lru, e.lru_pos);
   }
-  return GetResult{std::string(e.value_view()), e.version};
+  return ValueRef{e.value_view(), e.version};
 }
 
 MemTable::FastGetOutcome SlabMemTable::fast_get(std::string_view key,
-                                                GetResult& out) const {
+                                                ValueRef& out) const {
   const auto it = table_.find(key);
   if (it == table_.end()) return MemTable::FastGetOutcome::kMiss;
   const Entry& e = it->second;
   if (!e.pinned && e.lru_pos != class_lru_[e.chunk.size_class].begin())
     return MemTable::FastGetOutcome::kNeedsRecency;
-  out.value.assign(e.value_view());
-  out.version = e.version;
+  out = ValueRef{e.value_view(), e.version};
   return MemTable::FastGetOutcome::kHit;
 }
 
-std::optional<SlabMemTable::GetResult> SlabMemTable::peek(
-    std::string_view key) const {
+std::optional<ValueRef> SlabMemTable::peek_view(std::string_view key) const {
   const auto it = table_.find(key);
   if (it == table_.end()) return std::nullopt;
-  return GetResult{std::string(it->second.value_view()), it->second.version};
+  return ValueRef{it->second.value_view(), it->second.version};
 }
 
 MemTable::CasOutcome SlabMemTable::cas(std::string_view key,

@@ -32,24 +32,30 @@ class SlabMemTable {
 
   explicit SlabMemTable(const SlabConfig& config);
 
-  struct GetResult {
-    std::string value;
-    std::uint64_t version;
-  };
+  using GetResult = ValueCopy;
 
   /// Store (insert or overwrite). Fails (false) if the item is larger than
   /// the biggest chunk, or its size class cannot free a chunk (budget spent
   /// and every chunk of the class holds a pinned item).
   bool set(std::string_view key, std::string_view value, bool pinned = false);
 
-  std::optional<GetResult> get(std::string_view key);
-  std::optional<GetResult> peek(std::string_view key) const;
+  /// View reads (same contract as MemTable's): the value in its chunk,
+  /// valid until the table's next mutation.
+  std::optional<ValueRef> get_view(std::string_view key);
+  std::optional<ValueRef> peek_view(std::string_view key) const;
+
+  std::optional<GetResult> get(std::string_view key) {
+    return copy_of(get_view(key));
+  }
+  std::optional<GetResult> peek(std::string_view key) const {
+    return copy_of(peek_view(key));
+  }
 
   /// Mutation-free read attempt (same contract as MemTable::fast_get):
   /// resolves pinned entries, entries already at their class's MRU
   /// position, and misses; kNeedsRecency otherwise. Never touches stats().
   MemTable::FastGetOutcome fast_get(std::string_view key,
-                                    GetResult& out) const;
+                                    ValueRef& out) const;
 
   MemTable::CasOutcome cas(std::string_view key, std::uint64_t expected,
                            std::string_view value);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -69,11 +71,10 @@ SwissMemTable::SwissMemTable(std::size_t byte_budget,
     : byte_budget_(byte_budget), slabs_(slab_config) {}
 
 SwissMemTable::~SwissMemTable() {
-  if (!ctrl_) return;
   for (std::size_t i = 0; i < capacity_; ++i) {
     if (ctrl_[i] >= 0 && slots_[i].heap) delete[] slots_[i].chunk.data;
   }
-  // Slab chunks die with the allocator's pages.
+  // Slab chunks die with the allocator's pages, the table with its mapping.
 }
 
 std::size_t SwissMemTable::find(std::uint64_t hash,
@@ -88,7 +89,7 @@ std::size_t SwissMemTable::find(std::uint64_t hash,
   std::size_t result = kNpos;
   for (;;) {
     ++groups_probed;
-    const Group g(ctrl_.get() + group * kGroupWidth);
+    const Group g(ctrl_ + group * kGroupWidth);
     for (std::uint32_t m = g.match(h2); m != 0; m &= m - 1) {
       const std::size_t idx = group * kGroupWidth + lowest_bit(m);
       const Slot& s = slots_[idx];
@@ -123,34 +124,40 @@ void SwissMemTable::reserve_for_insert() {
 }
 
 void SwissMemTable::rehash(std::size_t new_capacity) {
+  static_assert(kMinCapacity % alignof(Slot) == 0);
+  // Map the new generation before any member changes: if the kernel refuses,
+  // bad_alloc leaves the table as it was.
+  kv::PageMapping fresh(new_capacity * (1 + sizeof(Slot)));
   ++rehashes_;
   const std::size_t old_capacity = capacity_;
-  auto old_ctrl = std::move(ctrl_);
-  auto old_slots = std::move(slots_);
+  const kv::PageMapping old_mem = std::exchange(table_mem_, std::move(fresh));
+  const std::int8_t* const old_ctrl = ctrl_;
+  Slot* const old_slots = slots_;
 
   capacity_ = new_capacity;
-  ctrl_ = std::make_unique<std::int8_t[]>(capacity_);
-  std::memset(ctrl_.get(), static_cast<unsigned char>(kEmpty), capacity_);
-  slots_ = std::make_unique<Slot[]>(capacity_);
+  ctrl_ = reinterpret_cast<std::int8_t*>(table_mem_.data());
+  slots_ = reinterpret_cast<Slot*>(table_mem_.data() + capacity_);
+  std::memset(ctrl_, static_cast<unsigned char>(kEmpty), capacity_);
   deleted_ = 0;
 
   if (old_capacity == 0) return;
-  std::vector<std::uint32_t> remap(old_capacity, kNil);
+  // The old slots die with old_mem, so each full one's lru_prev carries its
+  // new index from here on: the LRU rebuild below needs no remap table.
   const std::size_t group_mask = capacity_ / kGroupWidth - 1;
   for (std::size_t i = 0; i < old_capacity; ++i) {
     if (old_ctrl[i] < 0) continue;
-    const Slot& s = old_slots[i];
+    Slot& s = old_slots[i];
     const std::uint64_t mix = mix_hash(s.hash);
     std::size_t group = (mix >> 7) & group_mask;
     std::size_t step = 0;
     for (;;) {
-      const Group g(ctrl_.get() + group * kGroupWidth);
+      const Group g(ctrl_ + group * kGroupWidth);
       const std::uint32_t empties = g.match_empty();
       if (empties != 0) {
         const std::size_t idx = group * kGroupWidth + lowest_bit(empties);
         ctrl_[idx] = static_cast<std::int8_t>(mix & 0x7f);
-        slots_[idx] = s;
-        remap[i] = static_cast<std::uint32_t>(idx);
+        new (&slots_[idx]) Slot(s);
+        s.lru_prev = static_cast<std::uint32_t>(idx);
         break;
       }
       ++step;
@@ -158,13 +165,14 @@ void SwissMemTable::rehash(std::size_t new_capacity) {
     }
   }
   // Slots moved; rebuild the LRU chain in the same recency order by walking
-  // the old chain through the index remap.
+  // the old chain through the new indices.
   std::uint32_t old_cursor = lru_head_;
   lru_head_ = lru_tail_ = kNil;
   std::uint32_t prev = kNil;
   while (old_cursor != kNil) {
-    const std::uint32_t idx = remap[old_cursor];
-    RNB_ENSURE(idx != kNil);
+    RNB_ENSURE(old_cursor < old_capacity && old_ctrl[old_cursor] >= 0);
+    const std::uint32_t idx = old_slots[old_cursor].lru_prev;
+    RNB_ENSURE(idx < capacity_);
     Slot& s = slots_[idx];
     s.lru_prev = prev;
     s.lru_next = kNil;
@@ -259,7 +267,7 @@ std::size_t SwissMemTable::insert_slot(std::uint64_t hash,
   std::size_t step = 0;
   std::size_t target = kNpos;
   for (;;) {
-    const Group g(ctrl_.get() + group * kGroupWidth);
+    const Group g(ctrl_ + group * kGroupWidth);
     // Reuse the first tombstone on the probe path; otherwise take the first
     // empty slot (which also terminates the search for one).
     if (target == kNpos) {
@@ -278,8 +286,7 @@ std::size_t SwissMemTable::insert_slot(std::uint64_t hash,
   insert_displacement_ += step;
   if (ctrl_[target] == kDeleted) --deleted_;
   ctrl_[target] = h2;
-  Slot& s = slots_[target];
-  s = Slot{};
+  Slot& s = *new (&slots_[target]) Slot{};
   s.hash = hash;
   assign_payload(s, key, value);
   s.version = next_version_++;
@@ -340,13 +347,8 @@ bool SwissMemTable::set_hashed(std::uint64_t hash, std::string_view key,
   return true;
 }
 
-std::optional<SwissMemTable::GetResult> SwissMemTable::get(
-    std::string_view key) {
-  return get_hashed(fnv1a64(key), key);
-}
-
-std::optional<SwissMemTable::GetResult> SwissMemTable::get_hashed(
-    std::uint64_t hash, std::string_view key) {
+std::optional<ValueRef> SwissMemTable::get_view_hashed(std::uint64_t hash,
+                                                       std::string_view key) {
   const std::size_t idx = find(hash, key);
   if (idx == kNpos) {
     ++stats_.misses;
@@ -358,32 +360,25 @@ std::optional<SwissMemTable::GetResult> SwissMemTable::get_hashed(
     lru_unlink(idx);
     lru_push_front(idx);
   }
-  return GetResult{std::string(value_view(s)), s.version};
-}
-
-SwissMemTable::FastGetOutcome SwissMemTable::fast_get(std::string_view key,
-                                                      GetResult& out) const {
-  return fast_get_hashed(fnv1a64(key), key, out);
+  return ValueRef{value_view(s), s.version};
 }
 
 SwissMemTable::FastGetOutcome SwissMemTable::fast_get_hashed(
-    std::uint64_t hash, std::string_view key, GetResult& out) const {
+    std::uint64_t hash, std::string_view key, ValueRef& out) const {
   const std::size_t idx = find(hash, key);
   if (idx == kNpos) return FastGetOutcome::kMiss;
   const Slot& s = slots_[idx];
   if (!s.pinned && lru_head_ != static_cast<std::uint32_t>(idx))
     return FastGetOutcome::kNeedsRecency;
-  out.value.assign(value_view(s));
-  out.version = s.version;
+  out = ValueRef{value_view(s), s.version};
   return FastGetOutcome::kHit;
 }
 
-std::optional<SwissMemTable::GetResult> SwissMemTable::peek(
-    std::string_view key) const {
+std::optional<ValueRef> SwissMemTable::peek_view(std::string_view key) const {
   const std::size_t idx = find(fnv1a64(key), key);
   if (idx == kNpos) return std::nullopt;
   const Slot& s = slots_[idx];
-  return GetResult{std::string(value_view(s)), s.version};
+  return ValueRef{value_view(s), s.version};
 }
 
 SwissMemTable::CasOutcome SwissMemTable::cas(std::string_view key,

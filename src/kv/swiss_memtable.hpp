@@ -19,6 +19,12 @@
 //   * Intrusive LRU: doubly-linked list threaded through 32-bit slot
 //     indices stored in the slots themselves (head = MRU). No std::list
 //     nodes, no iterator storage, and a recency splice is four stores.
+//   * Mapped bulk memory: control bytes and slots share one anonymous
+//     mapping per table generation, and slab pages are mappings too
+//     (kv/page_mapping.hpp), so a dead table's memory goes back to the OS
+//     rather than into malloc's arenas. A slot is read only while its
+//     control byte says full, so fresh zero pages need no initialization:
+//     each slot's lifetime starts where it is first filled.
 //
 // Two-class accounting matches MemTable exactly: pinned entries (the
 // paper's distinguished copies) are never evicted and excluded from the
@@ -27,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,7 +40,8 @@
 
 #include "cache/lru_cache.hpp"  // CacheStats
 #include "common/hash.hpp"
-#include "kv/memtable.hpp"  // ScanEntry
+#include "kv/memtable.hpp"  // ScanEntry, ValueRef
+#include "kv/page_mapping.hpp"
 #include "kv/slab.hpp"
 
 namespace rnb {
@@ -75,9 +81,21 @@ class SwissMemTable {
   using CasOutcome = MemTable::CasOutcome;
 
   bool set(std::string_view key, std::string_view value, bool pinned = false);
-  std::optional<GetResult> get(std::string_view key);
-  std::optional<GetResult> peek(std::string_view key) const;
-  FastGetOutcome fast_get(std::string_view key, GetResult& out) const;
+  /// View reads (MemTable's contract): the value in its slab chunk, valid
+  /// until the table's next mutation.
+  std::optional<ValueRef> get_view(std::string_view key) {
+    return get_view_hashed(fnv1a64(key), key);
+  }
+  std::optional<ValueRef> peek_view(std::string_view key) const;
+  FastGetOutcome fast_get(std::string_view key, ValueRef& out) const {
+    return fast_get_hashed(fnv1a64(key), key, out);
+  }
+  std::optional<GetResult> get(std::string_view key) {
+    return copy_of(get_view(key));
+  }
+  std::optional<GetResult> peek(std::string_view key) const {
+    return copy_of(peek_view(key));
+  }
   CasOutcome cas(std::string_view key, std::uint64_t expected,
                  std::string_view value);
   bool erase(std::string_view key);
@@ -93,9 +111,10 @@ class SwissMemTable {
   // multi-get batch hashes each key exactly once end to end.
   bool set_hashed(std::uint64_t hash, std::string_view key,
                   std::string_view value, bool pinned = false);
-  std::optional<GetResult> get_hashed(std::uint64_t hash, std::string_view key);
+  std::optional<ValueRef> get_view_hashed(std::uint64_t hash,
+                                          std::string_view key);
   FastGetOutcome fast_get_hashed(std::uint64_t hash, std::string_view key,
-                                 GetResult& out) const;
+                                 ValueRef& out) const;
   CasOutcome cas_hashed(std::uint64_t hash, std::string_view key,
                         std::uint64_t expected, std::string_view value);
   bool erase_hashed(std::uint64_t hash, std::string_view key);
@@ -120,6 +139,9 @@ class SwissMemTable {
   static constexpr std::int8_t kDeleted = -2;   // 0b11111110
   static constexpr std::size_t kPerEntryOverhead = 48;  // matches MemTable
 
+  /// Lives in mapped memory: placement-constructed where it is first
+  /// filled (insert_slot, rehash), and meaningful only while its control
+  /// byte is full.
   struct Slot {
     std::uint64_t hash = 0;  // raw fnv1a64(key): rehash + equality prefilter
     std::uint64_t version = 0;
@@ -176,8 +198,11 @@ class SwissMemTable {
   std::size_t size_ = 0;
   std::size_t deleted_ = 0;
   std::size_t capacity_ = 0;  // power of two, multiple of kGroupWidth
-  std::unique_ptr<std::int8_t[]> ctrl_;
-  std::unique_ptr<Slot[]> slots_;
+  /// capacity_ control bytes, then capacity_ slots (capacity_ is a multiple
+  /// of alignof(Slot), so the slots need no padding).
+  kv::PageMapping table_mem_;
+  std::int8_t* ctrl_ = nullptr;
+  Slot* slots_ = nullptr;
   std::uint32_t lru_head_ = kNil;
   std::uint32_t lru_tail_ = kNil;
   kv::SlabAllocator slabs_;

@@ -207,11 +207,12 @@ class BasicTcpKvServer final : public WireServer {
   TcpServerCore core_;
 };
 
-/// The default TCP server: sharded map engine (the historical TcpKvServer).
+/// The serving TCP server: the sharded swiss engine (ShardedKvServer).
 using TcpKvServer = BasicTcpKvServer<ShardedKvServer>;
 
-/// Sharded swiss engine over the same core (`loadgen_kv --engine=swiss`).
-using SwissTcpKvServer = BasicTcpKvServer<ShardedSwissKvServer>;
+/// Sharded reference (map) engine over the same core
+/// (`loadgen_kv --engine=map`).
+using MapTcpKvServer = BasicTcpKvServer<ShardedMapKvServer>;
 
 /// Sharded slab engine over the same core (`loadgen_kv --engine=slab`).
 using SlabTcpKvServer = BasicTcpKvServer<ShardedSlabKvServer>;
@@ -284,8 +285,8 @@ class TcpFleet {
 
  private:
   /// One booted server: the engine-agnostic wire handle plus a concrete
-  /// engine pointer captured at boot (the fleet is fixed to the sharded map
-  /// engine; dserve migration drives engines through server()).
+  /// engine pointer captured at boot (the fleet runs the serving engine,
+  /// ShardedKvServer; dserve migration drives engines through server()).
   struct Member {
     std::unique_ptr<WireServer> wire;
     ShardedKvServer* engine = nullptr;

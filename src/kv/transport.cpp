@@ -1,6 +1,6 @@
 #include "kv/transport.hpp"
 
-// Explicit instantiations of both shipped fleets, compiled under the
+// Explicit instantiations of the shipped fleets, compiled under the
 // library's full warning set.
 namespace rnb::kv {
 
@@ -17,4 +17,5 @@ const char* to_string(TransportStatus status) noexcept {
 template class BasicLoopbackTransport<KvServer>;
 template class BasicLoopbackTransport<SlabKvServer>;
 template class BasicLoopbackTransport<ShardedKvServer, false>;
+template class BasicLoopbackTransport<ShardedMapKvServer, false>;
 }  // namespace rnb::kv

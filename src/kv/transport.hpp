@@ -18,8 +18,9 @@
 //     bench measures exactly this difference.
 //
 // Generic over the storage engine: LoopbackTransport uses the byte-budget
-// MemTable, SlabLoopbackTransport the memcached-faithful slab engine, and
-// ShardedLoopbackTransport the concurrent sharded engine.
+// MemTable, SlabLoopbackTransport the memcached-faithful slab engine,
+// ShardedLoopbackTransport the serving engine (sharded swiss), and the
+// ShardedMap/ShardedSlab fleets the sharded forms of the other two.
 #pragma once
 
 #include <memory>
@@ -42,7 +43,7 @@ class BasicLoopbackTransport final : public KvTransport {
  public:
   /// Spin up `num_servers` servers, each constructed from `args` (byte
   /// budget for KvServer, SlabConfig for SlabKvServer, budget + shard
-  /// count for ShardedKvServer).
+  /// count for the sharded servers).
   template <typename... Args>
   explicit BasicLoopbackTransport(ServerId num_servers, const Args&... args) {
     RNB_REQUIRE(num_servers > 0);
@@ -99,18 +100,19 @@ using LoopbackTransport = BasicLoopbackTransport<KvServer>;
 /// Memcached-faithful fleet: slab classes with per-class LRU.
 using SlabLoopbackTransport = BasicLoopbackTransport<SlabKvServer>;
 
-/// Concurrent fleet: sharded engines, no dispatch mutex — roundtrips from
-/// many client threads execute in parallel on one server.
+/// Concurrent serving fleet: sharded swiss engines, no dispatch mutex —
+/// roundtrips from many client threads execute in parallel on one server.
+/// ServerGroup's in-process wire.
 using ShardedLoopbackTransport =
     BasicLoopbackTransport<ShardedKvServer, /*kSerializeDispatch=*/false>;
+
+/// Concurrent reference fleet: sharded MemTable engines (the loadgen
+/// `--engine=map` loopback path).
+using ShardedMapLoopbackTransport =
+    BasicLoopbackTransport<ShardedMapKvServer, /*kSerializeDispatch=*/false>;
 
 /// Concurrent memcached-faithful fleet: sharded slab arenas.
 using ShardedSlabLoopbackTransport =
     BasicLoopbackTransport<ShardedSlabKvServer, /*kSerializeDispatch=*/false>;
-
-/// Concurrent swiss fleet: sharded open-addressing engines (hash-once
-/// routing, slab payloads) — the loadgen `--engine=swiss` loopback path.
-using SwissLoopbackTransport =
-    BasicLoopbackTransport<ShardedSwissKvServer, /*kSerializeDispatch=*/false>;
 
 }  // namespace rnb::kv

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -12,6 +13,7 @@
 #include "kv/kv_transport.hpp"
 #include "obs/hdr_histogram.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace rnb::dserve {
 namespace {
@@ -223,6 +225,78 @@ TEST(MetricsCollector, SurvivesAServerCrashMidScrapeSequence) {
   std::ostringstream os;
   collector.recorder().write_json(os, "server_crash");
   EXPECT_NE(os.str().find("\"s1:"), std::string::npos);
+}
+
+/// One traced sweep over a live 2-server group: a single root `scrape`
+/// span, and under it one server transaction per member with the standard
+/// parse, dispatch > handle and format breakdown — no span left without
+/// its parent. Over TCP the servers' spans can join only through the
+/// stats frames' trace tag.
+void expect_traced_sweep_stitches(GroupWire wire) {
+  obs::Tracer tracer(obs::Tracer::ClockMode::kWall);
+  obs::Tracer::set_current(&tracer);
+  {
+    ServerGroupConfig config;
+    config.num_servers = 2;
+    config.wire = wire;
+    config.view.replication = 2;
+    ServerGroup group(config);
+    const auto connection = group.connect();
+    MetricsCollector collector(*connection);
+    EXPECT_EQ(collector.scrape_once(0).servers_up, 2u);
+  }  // the group joins its server threads before the trace is read
+  obs::Tracer::set_current(nullptr);
+
+  const std::vector<obs::TraceEvent> events = tracer.snapshot_events();
+  const auto is = [](const obs::TraceEvent& e, std::string_view name,
+                     std::string_view cat) {
+    return e.phase == 'X' && e.name == name && e.cat == cat;
+  };
+  std::set<std::uint64_t> span_ids;
+  std::vector<const obs::TraceEvent*> scrapes, transactions;
+  for (const obs::TraceEvent& e : events) {
+    if (e.phase != 'X') continue;
+    span_ids.insert(e.span_id);
+    if (is(e, "scrape", "collector")) scrapes.push_back(&e);
+    if (is(e, "transaction", "server")) transactions.push_back(&e);
+  }
+  ASSERT_EQ(scrapes.size(), 1u);
+  const obs::TraceEvent& scrape = *scrapes[0];
+  EXPECT_NE(scrape.trace_id, 0u);
+  EXPECT_EQ(scrape.parent_id, 0u);
+  ASSERT_EQ(transactions.size(), 2u);
+  for (const obs::TraceEvent* txn : transactions) {
+    EXPECT_EQ(txn->trace_id, scrape.trace_id);
+    EXPECT_EQ(txn->parent_id, scrape.span_id);
+    std::size_t parse = 0, dispatch = 0, handle = 0, format = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.phase != 'X') continue;
+      if (e.parent_id == txn->span_id) {
+        parse += is(e, "parse", "server");
+        format += is(e, "format", "server");
+        if (is(e, "dispatch", "server")) {
+          ++dispatch;
+          for (const obs::TraceEvent& h : events)
+            handle += h.parent_id == e.span_id && is(h, "handle", "server");
+        }
+      }
+    }
+    EXPECT_EQ(parse, 1u);
+    EXPECT_EQ(dispatch, 1u);
+    EXPECT_EQ(handle, 1u);
+    EXPECT_EQ(format, 1u);
+  }
+  for (const obs::TraceEvent& e : events) {
+    if (e.phase == 'X' && e.parent_id != 0) {
+      EXPECT_EQ(span_ids.count(e.parent_id), 1u)
+          << e.name << " span " << e.span_id << " is an orphan";
+    }
+  }
+}
+
+TEST(MetricsCollector, TracedSweepStitchesUnderOneScrapeSpan) {
+  expect_traced_sweep_stitches(GroupWire::kLoopback);
+  expect_traced_sweep_stitches(GroupWire::kTcp);
 }
 
 TEST(MetricsCollector, LocalSourceDrivesElasticRollup) {

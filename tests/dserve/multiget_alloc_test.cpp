@@ -19,32 +19,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <map>
-#include <new>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "dserve/cluster_client.hpp"
 #include "dserve/server_group.hpp"
-
-namespace {
-
-thread_local bool t_counting = false;
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (t_counting) g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.hpp"
 
 namespace rnb::dserve {
 namespace {
@@ -163,11 +146,13 @@ std::uint64_t allocations_of_one_multi_get(bool preinstall_replicas,
   replay.replay();
   (void)client.multi_get(keys);  // warm-up on the replayed answers
 
-  g_allocations = 0;
-  t_counting = true;
-  const auto result = client.multi_get(keys);
-  t_counting = false;
-  const std::uint64_t counted = g_allocations.load();
+  std::uint64_t counted = 0;
+  KvClusterClient::MultiGetResult result;
+  {
+    const testing::AllocationCounter counter;
+    result = client.multi_get(keys);
+    counted = counter.allocations();
+  }
 
   EXPECT_EQ(replay.unmatched(), 0u) << "the measured call sent a new frame";
   EXPECT_EQ(result.values.size(), keys.size());

@@ -103,7 +103,7 @@ void expect_converged(kv::KvTransport& wire, const RingEpoch& epoch,
 }
 
 TEST(MigrationDriver, JoinMigrationMovesEveryAffectedCopy) {
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2});
   const auto from = store.current();
   const auto to = store.propose_join(3);
@@ -122,7 +122,7 @@ TEST(MigrationDriver, JoinMigrationMovesEveryAffectedCopy) {
 }
 
 TEST(MigrationDriver, LeaveMigrationDrainsTheLeaver) {
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2, 3});
   const auto from = store.current();
   const auto to = store.propose_leave(2);
@@ -140,7 +140,7 @@ TEST(MigrationDriver, MigrationIsIdempotentWhenRepeated) {
   // Every transfer is a re-set and every delete a NOT_FOUND the second
   // time: running the same migration twice converges to the same state
   // with nothing lost or double-counted.
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2});
   const auto from = store.current();
   const auto to = store.propose_join(3);
@@ -161,7 +161,7 @@ TEST(MigrationDriver, CrashDuringMigrationResumesFromCheckpointAfterRestore) {
   // window). The first migrate() fails past its retry budget and records a
   // checkpoint; repeating the call after the restore finishes the stream
   // with zero keys lost and no copy duplicated.
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2});
   const auto from = store.current();
   const auto to = store.propose_join(3);
@@ -195,7 +195,7 @@ TEST(MigrationDriver, TornResponsesMidStreamAreRetriedNotApplied) {
   // Reset-mid-stream: a fraction of responses arrive cut mid-frame. The
   // exchange layer rejects the malformed frame and retries, so the driver
   // converges to the exact same state a clean wire produces.
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2});
   const auto from = store.current();
   const auto to = store.propose_join(3);
@@ -222,7 +222,7 @@ TEST(MigrationDriver, StalledReceiverSlowsButNeverWedgesTheStream) {
   // A limping joiner (every roundtrip 50x slower) stalls the stream in
   // virtual time but costs no correctness: bounded batches keep paging,
   // and the stall is visible in the driver's elapsed accounting.
-  kv::ShardedLoopbackTransport fleet(4, kBudget, 1);
+  kv::ShardedMapLoopbackTransport fleet(4, kBudget, 1);
   EpochStore store(ring_config(), {0, 1, 2});
   const auto from = store.current();
   const auto to = store.propose_join(3);
@@ -257,7 +257,7 @@ TEST(MigrationDriver, ReactorServesScanAndIsolatesMidScanResets) {
   // script: one peer tears its connection mid-scan-request, a healthy peer
   // scans the same engine to completion — blast radius stays one socket.
   kv::SimPoller sim;
-  kv::ShardedKvServer engine(kBudget, 4);
+  kv::ShardedMapKvServer engine(kBudget, 4);
   std::string frame, ignored;
   for (int i = 0; i < 10; ++i) {
     frame.clear();

@@ -42,7 +42,7 @@ TEST(ReactorFault, ResetMidFrameKillsOnlyTheVictimConnection) {
   // complete normally. The loop must isolate the blast radius to the
   // victim — same engine, same loop, no cross-connection damage.
   SimPoller sim;
-  ShardedKvServer engine(kBudget, 4);
+  ShardedMapKvServer engine(kBudget, 4);
   EventLoop loop(sim, engine, sim_config());
 
   std::string good;
@@ -90,7 +90,7 @@ TEST(ReactorFault, StalledPeerDoesNotStarveTheLoop) {
   // the no-head-of-line-blocking property the thread server gets from
   // thread isolation and the reactor must earn with its outbox.
   SimPoller sim;
-  ShardedKvServer engine(kBudget, 4);
+  ShardedMapKvServer engine(kBudget, 4);
   EventLoop loop(sim, engine, sim_config());
 
   std::string frame;

@@ -1,14 +1,15 @@
 // The batched-lock multi-get path: per-shard sub-batches take each shard's
-// lock at most twice (shared, then exclusive for the recency remainder).
+// lock at most twice (shared, then exclusive for the recency remainder),
+// copying each hit into the caller's MultiGetArena under the lock.
 // Deterministic checks pin the LRU-equivalence contract — a batch leaves
 // the table exactly as the sequential per-key loop would — and the
 // multithreaded stress doubles as the TSan race detector for the
-// shared-to-exclusive escalation under concurrent writers.
+// shared-to-exclusive escalation under concurrent writers, and for the
+// view reads: a value copied outside its shard lock would tear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,16 +55,16 @@ void check_batch_equals_sequential() {
       {"ghost", "ghost2"},
       {"key0"},
   };
-  std::vector<std::optional<typename Table::GetResult>> got;
+  MultiGetArena got;
   for (const auto& batch : batches) {
     batched.multi_get(batch, got);
     ASSERT_EQ(got.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const auto expect = sequential.get(batch[i]);
-      ASSERT_EQ(got[i].has_value(), expect.has_value()) << batch[i];
+      ASSERT_EQ(got.found(i), expect.has_value()) << batch[i];
       if (expect.has_value()) {
-        EXPECT_EQ(got[i]->value, expect->value);
-        EXPECT_EQ(got[i]->version, expect->version);
+        EXPECT_EQ(got.value(i), expect->value);
+        EXPECT_EQ(got.version(i), expect->version);
       }
     }
   }
@@ -124,17 +125,18 @@ void run_stress() {
   for (int r = 0; r < 4; ++r) {
     threads.emplace_back([&, r] {
       std::vector<std::string> batch;
-      std::vector<std::optional<typename Table::GetResult>> out;
+      MultiGetArena out;
       for (int round = 0; round < 400; ++round) {
         batch.clear();
         for (int i = 0; i < 16; ++i)
           batch.push_back(key_of((r * 31 + round * 17 + i * 5) % kKeys));
         table.multi_get(batch, out);
+        ASSERT_EQ(out.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (!out[i].has_value()) continue;  // racing erase: fine
+          if (!out.found(i)) continue;  // racing erase: fine
           // Torn values would betray a read outside the shard lock.
-          EXPECT_TRUE(out[i]->value.starts_with(batch[i] + "-v"))
-              << batch[i] << " -> " << out[i]->value;
+          EXPECT_TRUE(out.value(i).starts_with(batch[i] + "-v"))
+              << batch[i] << " -> " << out.value(i);
         }
         reads.fetch_add(batch.size(), std::memory_order_relaxed);
       }

@@ -95,7 +95,7 @@ void run_fuzz(std::size_t byte_budget, std::uint64_t seed,
         break;
       }
       case 4: {  // fast_get; on kNeedsRecency escalate both (wrapper shape)
-        MemTable::GetResult a, b;
+        ValueRef a, b;
         const auto oa = ref.fast_get(key, a);
         const auto ob = swiss.fast_get(key, b);
         ASSERT_EQ(oa, ob) << "fast_get op " << op;

@@ -1,4 +1,4 @@
-// ReactorKvServer over real sockets: the same black-box contract the
+// The reactor server (map engine) over real sockets: the same black-box contract the
 // thread-per-connection server satisfies (tcp_test.cpp), plus the things
 // only a reactor promises — pipelining on one connection, loop-health
 // series in the stats exposition, many connections on one thread.
@@ -20,7 +20,7 @@ namespace rnb::kv {
 namespace {
 
 TEST(ReactorTcp, SetGetOverRealSocket) {
-  ReactorKvServer server(1 << 20);
+  MapReactorKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_set("k", "network value", false, req);
@@ -40,7 +40,7 @@ TEST(ReactorTcp, PipelinedRequestsAnswerInOrder) {
   // The client writes a burst of frames without reading; the reactor must
   // answer every one, in order, on the same connection — the behavior the
   // thread server only achieves accidentally and the reactor guarantees.
-  ReactorKvServer server(4u << 20);
+  MapReactorKvServer server(4u << 20);
   TcpKvConnection conn(server.port());
   constexpr int kDepth = 64;
   std::string req, resp;
@@ -70,7 +70,7 @@ TEST(ReactorTcp, PipelinedRequestsAnswerInOrder) {
 }
 
 TEST(ReactorTcp, StatsVerbPublishesConnectionAndLoopCounters) {
-  ReactorKvServer server(1 << 20);
+  MapReactorKvServer server(1 << 20);
   TcpKvConnection first(server.port());
   std::string req, resp;
   encode_set("probe", "v", false, req);
@@ -103,7 +103,7 @@ TEST(ReactorTcp, StatsVerbPublishesConnectionAndLoopCounters) {
 }
 
 TEST(ReactorTcp, ActiveConnectionGaugeFallsWhenPeersDisconnect) {
-  ReactorKvServer server(1 << 20);
+  MapReactorKvServer server(1 << 20);
   {
     TcpKvConnection transient(server.port());
     std::string req, resp;
@@ -120,7 +120,7 @@ TEST(ReactorTcp, ActiveConnectionGaugeFallsWhenPeersDisconnect) {
 }
 
 TEST(ReactorTcp, ConcurrentClientsShareOneLoopThread) {
-  ReactorKvServer server(8u << 20);
+  MapReactorKvServer server(8u << 20);
   constexpr int kOps = 200;
   auto client = [&](int id) {
     TcpKvConnection conn(server.port());
@@ -144,7 +144,7 @@ TEST(ReactorTcp, ConcurrentClientsShareOneLoopThread) {
 TEST(ReactorTcp, ManyConnectionsOneRequestEach) {
   // A small-scale incast: far more connections than any thread-per-
   // connection pool would enjoy, all served by the single loop thread.
-  ReactorKvServer server(4u << 20);
+  MapReactorKvServer server(4u << 20);
   constexpr int kConnections = 128;
   std::string req, resp;
   encode_set("shared", "fan-in", false, req);
@@ -170,7 +170,7 @@ TEST(ReactorTcp, ManyConnectionsOneRequestEach) {
 }
 
 TEST(ReactorTcp, ShutdownIsIdempotentAndJoins) {
-  auto server = std::make_unique<ReactorKvServer>(1 << 20);
+  auto server = std::make_unique<MapReactorKvServer>(1 << 20);
   {
     TcpKvConnection conn(server->port());
     std::string req, resp;
@@ -184,7 +184,7 @@ TEST(ReactorTcp, ShutdownIsIdempotentAndJoins) {
 }
 
 TEST(ReactorTcp, MalformedLineGetsClientError) {
-  ReactorKvServer server(1 << 20);
+  MapReactorKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string resp;
   conn.roundtrip("bogus command\r\n", resp);

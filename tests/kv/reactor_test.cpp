@@ -25,8 +25,8 @@ constexpr std::size_t kShards = 4;
 /// bytes track mutable-state responses (DELETED vs NOT_FOUND, versions).
 struct Rig {
   SimPoller sim;
-  ShardedKvServer engine{kBudget, kShards};
-  ShardedKvServer ref{kBudget, kShards};
+  ShardedMapKvServer engine{kBudget, kShards};
+  ShardedMapKvServer ref{kBudget, kShards};
   EventLoop loop;
 
   static EventLoop::Config make_config(std::size_t read_chunk = 16384,

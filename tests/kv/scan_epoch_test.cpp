@@ -60,7 +60,7 @@ TEST(ScanVerb, PagesThroughEveryEntryExactlyOnceWithPinnedFlags) {
 }
 
 TEST(ScanVerb, ShardedEngineScansAcrossAllShards) {
-  ShardedKvServer server(kBudget, 8);
+  ShardedMapKvServer server(kBudget, 8);
   std::map<std::string, bool> expected;
   for (int i = 0; i < 100; ++i) {
     const std::string key = "shard:" + std::to_string(i);

@@ -61,7 +61,7 @@ std::vector<std::string> frame_sequence(std::uint64_t seed) {
 TEST(ShardedKvServer, SingleShardResponsesByteIdenticalToKvServer) {
   constexpr std::size_t kBudget = 8192;  // forces evictions
   KvServer plain(kBudget);
-  ShardedKvServer sharded(kBudget, 1);
+  ShardedMapKvServer sharded(kBudget, 1);
   std::string a;
   std::string b;
   const std::vector<std::string> frames = frame_sequence(21);
@@ -81,7 +81,7 @@ TEST(ShardedKvServer, SingleShardResponsesByteIdenticalToKvServer) {
 /// Multi-shard responses must still preserve request key order (the batched
 /// path resolves shard-by-shard but reports positionally).
 TEST(ShardedKvServer, MultiShardMultiGetKeepsRequestKeyOrder) {
-  ShardedKvServer server(1 << 20, 8);
+  ShardedMapKvServer server(1 << 20, 8);
   std::string response;
   for (std::uint64_t i = 0; i < 32; ++i) {
     std::string frame;
@@ -104,7 +104,7 @@ TEST(ShardedKvServer, MultiShardMultiGetKeepsRequestKeyOrder) {
 }
 
 TEST(ShardedKvServer, ConcurrentHandleAccountsEveryTransaction) {
-  ShardedKvServer server(1 << 20, 8);
+  ShardedMapKvServer server(1 << 20, 8);
   constexpr int kThreads = 8;
   constexpr int kOps = 1500;
   {
@@ -142,7 +142,7 @@ TEST(ShardedKvServer, ConcurrentHandleAccountsEveryTransaction) {
 }
 
 TEST(ShardedKvServer, StatsExposesPerShardSeries) {
-  ShardedKvServer server(1 << 20, 4);
+  ShardedMapKvServer server(1 << 20, 4);
   std::string response;
   std::string frame;
   encode_set("a", "1", false, frame);

@@ -110,7 +110,7 @@ TEST(ShardedMemTable, MultiGetMatchesSequentialGets) {
   }
 
   Xoshiro256 rng(11);
-  std::vector<std::optional<MemTable::GetResult>> results;
+  MultiGetArena results;
   for (int round = 0; round < 200; ++round) {
     std::vector<std::string> keys;
     const std::size_t n = 1 + rng.below(16);
@@ -120,11 +120,11 @@ TEST(ShardedMemTable, MultiGetMatchesSequentialGets) {
     ASSERT_EQ(results.size(), keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const auto expect = sequential.get(keys[i]);
-      ASSERT_EQ(results[i].has_value(), expect.has_value())
+      ASSERT_EQ(results.found(i), expect.has_value())
           << "round " << round << " key " << keys[i];
       if (expect) {
-        EXPECT_EQ(results[i]->value, expect->value);
-        EXPECT_EQ(results[i]->version, expect->version);
+        EXPECT_EQ(results.value(i), expect->value);
+        EXPECT_EQ(results.version(i), expect->version);
       }
     }
   }
@@ -170,9 +170,14 @@ TEST(ShardedMemTable, ConcurrentGetSetCasStress) {
           case 3: {
             std::vector<std::string> keys;
             for (int i = 0; i < 8; ++i) keys.push_back(key_of(rng.below(kKeys)));
-            std::vector<std::optional<MemTable::GetResult>> results;
+            MultiGetArena results;
             table.multi_get(keys, results);
             EXPECT_EQ(results.size(), keys.size());
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+              if (!results.found(i)) continue;
+              const std::string_view v = results.value(i);
+              EXPECT_TRUE(v == "init" || v[0] == 't' || v == "casval") << v;
+            }
             break;
           }
         }

@@ -1,6 +1,8 @@
-// The swiss-engine server configuration: same wire protocol, same
-// responses as the map engine, over loopback and both TCP serving cores —
-// plus the probe-behaviour Prometheus series only this engine exposes.
+// The swiss-engine server configuration — the serving names
+// (ShardedKvServer, ShardedLoopbackTransport, TcpKvServer,
+// ReactorKvServer): same wire protocol, same responses as the map engine,
+// over loopback and both TCP serving cores — plus the probe-behaviour
+// Prometheus series only this engine exposes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +17,7 @@ namespace rnb::kv {
 namespace {
 
 TEST(SwissKvServer, SetGetDeleteOverProtocol) {
-  ShardedSwissKvServer server(1 << 20, /*num_shards=*/4);
+  ShardedKvServer server(1 << 20, /*num_shards=*/4);
   std::string req, resp;
   encode_set("k", "swiss value", false, req);
   server.handle(req, resp);
@@ -38,8 +40,8 @@ TEST(SwissKvServer, SetGetDeleteOverProtocol) {
 TEST(SwissKvServer, ResponsesMatchMapEngineByteForByte) {
   // Same frames into the map-engine server and the swiss-engine server:
   // every response must be identical (values, versions, errors, order).
-  ShardedKvServer map_server(1 << 20, /*num_shards=*/4);
-  ShardedSwissKvServer swiss_server(1 << 20, /*num_shards=*/4);
+  ShardedMapKvServer map_server(1 << 20, /*num_shards=*/4);
+  ShardedKvServer swiss_server(1 << 20, /*num_shards=*/4);
   std::string frame, map_resp, swiss_resp;
   std::vector<std::string> frames;
   for (int i = 0; i < 200; ++i) {
@@ -66,7 +68,7 @@ TEST(SwissKvServer, ResponsesMatchMapEngineByteForByte) {
 }
 
 TEST(SwissKvServer, StatsExposesProbeSeries) {
-  ShardedSwissKvServer server(1 << 20, /*num_shards=*/2);
+  ShardedKvServer server(1 << 20, /*num_shards=*/2);
   std::string req, resp;
   for (int i = 0; i < 100; ++i) {
     req.clear();
@@ -95,7 +97,7 @@ TEST(SwissKvServer, StatsExposesProbeSeries) {
 TEST(SwissKvServer, MapEngineStatsHaveNoProbeSeries) {
   // The probe series are gated on the engine actually counting probes; the
   // map engine's stats output stays byte-identical to what it always was.
-  ShardedKvServer server(1 << 20, /*num_shards=*/2);
+  ShardedMapKvServer server(1 << 20, /*num_shards=*/2);
   std::string req, resp;
   encode_stats(req);
   server.handle(req, resp);
@@ -104,7 +106,8 @@ TEST(SwissKvServer, MapEngineStatsHaveNoProbeSeries) {
 }
 
 TEST(SwissKvServer, LoopbackTransportRoundtrip) {
-  SwissLoopbackTransport transport(2, std::size_t{1} << 20, std::size_t{4});
+  ShardedLoopbackTransport transport(2, std::size_t{1} << 20,
+                                     std::size_t{4});
   std::string req, resp;
   encode_set("k", "v", false, req);
   transport.roundtrip(1, req, resp);
@@ -118,8 +121,7 @@ TEST(SwissKvServer, LoopbackTransportRoundtrip) {
 }
 
 TEST(SwissKvServer, ServesOverTcpThreadCore) {
-  SwissTcpKvServer server(std::size_t{1} << 20, /*port=*/0,
-                          /*num_shards=*/4);
+  TcpKvServer server(std::size_t{1} << 20, /*port=*/0, /*num_shards=*/4);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_set("k", "over the wire", false, req);
@@ -137,8 +139,8 @@ TEST(SwissKvServer, ServesOverTcpThreadCore) {
 }
 
 TEST(SwissKvServer, ServesOverReactorCore) {
-  SwissReactorKvServer server(std::size_t{1} << 20, /*port=*/0,
-                              /*num_shards=*/4);
+  ReactorKvServer server(std::size_t{1} << 20, /*port=*/0,
+                         /*num_shards=*/4);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_set("k", "epoll swiss", false, req);
@@ -158,7 +160,7 @@ TEST(SwissKvServer, ServesOverReactorCore) {
 }
 
 TEST(SwissKvServer, ScanSupportsMigrationPaging) {
-  ShardedSwissKvServer server(1 << 20, /*num_shards=*/4);
+  ShardedKvServer server(1 << 20, /*num_shards=*/4);
   std::string req, resp;
   for (int i = 0; i < 50; ++i) {
     req.clear();

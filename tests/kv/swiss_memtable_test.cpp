@@ -109,7 +109,7 @@ TEST(SwissMemTable, PeekDoesNotTouchRecency) {
 
 TEST(SwissMemTable, FastGetOutcomes) {
   SwissMemTable t(1 << 20);
-  SwissMemTable::GetResult out;
+  ValueRef out;
   EXPECT_EQ(t.fast_get("ghost", out), SwissMemTable::FastGetOutcome::kMiss);
   t.set("a", "1");
   t.set("b", "2");
@@ -233,7 +233,7 @@ TEST(SwissMemTable, HashedVariantsMatchUnhashed) {
   const std::string key = "shared-key";
   const std::uint64_t h = fnv1a64(key);
   EXPECT_EQ(a.set(key, "v1"), b.set_hashed(h, key, "v1"));
-  EXPECT_EQ(a.get(key)->value, b.get_hashed(h, key)->value);
+  EXPECT_EQ(a.get(key)->value, b.get_view_hashed(h, key)->value);
   EXPECT_EQ(a.contains(key), b.contains_hashed(h, key));
   const auto version = a.peek(key)->version;
   EXPECT_EQ(a.cas(key, version, "v2"), b.cas_hashed(h, key, version, "v2"));

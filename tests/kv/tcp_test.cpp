@@ -119,7 +119,7 @@ TEST(ReplySplitter, MebibyteValueFedByteAtATimeScansLinearly) {
 }
 
 TEST(TcpKv, SetGetOverRealSocket) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_set("k", "network value", false, req);
@@ -136,7 +136,7 @@ TEST(TcpKv, SetGetOverRealSocket) {
 }
 
 TEST(TcpKv, MultiGetLargeBundle) {
-  TcpKvServer server(16u << 20);
+  MapTcpKvServer server(16u << 20);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   std::vector<std::string> keys;
@@ -155,7 +155,7 @@ TEST(TcpKv, MultiGetLargeBundle) {
 }
 
 TEST(TcpKv, EmptyGetResponseFramesCorrectly) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_get({"nope"}, false, req);
@@ -166,7 +166,7 @@ TEST(TcpKv, EmptyGetResponseFramesCorrectly) {
 }
 
 TEST(TcpKv, MultipleConnectionsShareTheStore) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection writer(server.port());
   TcpKvConnection reader(server.port());
   std::string req, resp;
@@ -179,7 +179,7 @@ TEST(TcpKv, MultipleConnectionsShareTheStore) {
 }
 
 TEST(TcpKv, StatsVerbPublishesConnectionCounters) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection first(server.port());
   std::string req, resp;
   encode_set("probe", "v", false, req);
@@ -204,7 +204,7 @@ TEST(TcpKv, StatsVerbPublishesConnectionCounters) {
 }
 
 TEST(TcpKv, ActiveConnectionGaugeFallsWhenPeersDisconnect) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   {
     TcpKvConnection transient(server.port());
     std::string req, resp;
@@ -220,7 +220,7 @@ TEST(TcpKv, ActiveConnectionGaugeFallsWhenPeersDisconnect) {
 }
 
 TEST(TcpKv, ConcurrentClientsAreSerialized) {
-  TcpKvServer server(8u << 20);
+  MapTcpKvServer server(8u << 20);
   constexpr int kOps = 300;
   auto client = [&](int id) {
     TcpKvConnection conn(server.port());
@@ -241,7 +241,7 @@ TEST(TcpKv, ConcurrentClientsAreSerialized) {
 }
 
 TEST(TcpKv, CasOverTheWire) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string req, resp;
   encode_set("k", "v1", false, req);
@@ -258,7 +258,7 @@ TEST(TcpKv, CasOverTheWire) {
 }
 
 TEST(TcpKv, ShutdownIsIdempotentAndJoins) {
-  auto server = std::make_unique<TcpKvServer>(1 << 20);
+  auto server = std::make_unique<MapTcpKvServer>(1 << 20);
   {
     TcpKvConnection conn(server->port());
     std::string req, resp;
@@ -272,7 +272,7 @@ TEST(TcpKv, ShutdownIsIdempotentAndJoins) {
 }
 
 TEST(TcpKv, MalformedLineGetsClientError) {
-  TcpKvServer server(1 << 20);
+  MapTcpKvServer server(1 << 20);
   TcpKvConnection conn(server.port());
   std::string resp;
   conn.roundtrip("bogus command\r\n", resp);
