@@ -219,10 +219,13 @@ ScenarioResult run_scenario(const Params& p, bool churn,
     });
     if (!collector_json.empty())
       collector->recorder().install_dump(collector_json, SIGTERM);
-    collector->start(collector_ms);
   }
 
   start_line.arrive_and_wait();
+  // The collector scrapes inside the tracer's window only: a scrape that
+  // straddled the install or the removal would leave a half-traced stats
+  // transaction on the server.
+  if (collector != nullptr) collector->start(collector_ms);
   if (churn) {
     const std::uint64_t warm = p.threads * p.requests / 4;
     while (completed.load(std::memory_order_acquire) < warm)
@@ -246,9 +249,9 @@ ScenarioResult run_scenario(const Params& p, bool churn,
     churn_done.store(true, std::memory_order_release);
   }
   for (auto& t : threads) t.join();
+  if (collector != nullptr) collector->stop();
   if (tracer != nullptr) obs::Tracer::set_current(nullptr);
   if (collector != nullptr) {
-    collector->stop();
     collector->scrape_once(collector->elapsed_us());  // closing rollup
     const obs::ClusterSample sample = collector->last_sample();
     const obs::HealthVerdict verdict = collector->last_verdict();

@@ -22,14 +22,13 @@
 // serving core: blocking thread-per-connection or the epoll reactor; rows
 // are named `tcp-threads` / `tcp-reactor`.
 //
-// `--engine=map,slab,swiss` sweeps the storage engine behind the serving
-// path (std::unordered_map LRU — the ShardedMap* servers, the default —
-// memcached-style slab classes, or the open-addressing swiss table of
-// kv/swiss_memtable.hpp, which the serving-name servers run); each listed
-// engine becomes one `store=<name>` row per (model, shards) point in the
-// same run, so speedup_vs_first_row reads directly as "vs the first
-// listed engine" — the engine-sweep rows in BENCH_loadgen.json pin
-// swiss-vs-map this way.
+// `--engine=map,swiss` sweeps the storage engine behind the serving path
+// (std::unordered_map LRU — the ShardedMap* servers, the default — or the
+// open-addressing swiss table of kv/swiss_memtable.hpp, which the
+// serving-name servers run); each listed engine becomes one `store=<name>`
+// row per (model, shards) point in the same run, so speedup_vs_first_row
+// reads directly as "vs the first listed engine" — the engine-sweep rows
+// in BENCH_loadgen.json pin swiss-vs-map this way.
 //
 // `--sweep-connections=64,256,1024` replaces the shard sweep with a
 // connection-count sweep at a fixed shard count: every listed total is
@@ -86,7 +85,6 @@
 #include "kv/kv_server.hpp"
 #include "kv/protocol.hpp"
 #include "kv/reactor.hpp"
-#include "kv/slab.hpp"
 #include "kv/tcp.hpp"
 #include "kv/transport.hpp"
 #include "obs/contention.hpp"
@@ -252,7 +250,7 @@ std::size_t budget_for(const Params& p) {
 
 struct Row {
   std::string engine;
-  std::string store = "map";      // storage engine: map | slab | swiss
+  std::string store = "map";      // storage engine: map | swiss
   std::uint64_t shards = 0;
   std::uint64_t connections = 0;  // total client sockets; 0 for loopback
   RunResult run;
@@ -352,23 +350,13 @@ Row run_baseline(const Params& p, const std::vector<std::string>& universe,
   return row;
 }
 
-/// The slab engine takes an arena config where map/swiss take a byte
-/// budget; same headroom policy.
-SlabConfig slab_config_for(const Params& p) {
-  SlabConfig config;
-  config.total_bytes = budget_for(p);
-  return config;
-}
-
 /// Sharded loopback run, generic over the storage engine (`Transport` is
-/// one of the sharded BasicLoopbackTransport aliases; `budget` is whatever
-/// its engine's store takes first).
-template <typename Transport, typename BudgetT>
+/// one of the sharded BasicLoopbackTransport aliases).
+template <typename Transport>
 Row run_sharded(const Params& p, const std::vector<std::string>& universe,
-                const BudgetT& budget, std::uint64_t shards,
-                const std::string& store, obs::Tracer* tracer,
-                obs::SlowLog* slow) {
-  Transport transport(1, budget, shards);
+                std::uint64_t shards, const std::string& store,
+                obs::Tracer* tracer, obs::SlowLog* slow) {
+  Transport transport(1, budget_for(p), shards);
   preload(p, universe,
           [&](std::string_view frame, std::string& out) {
             transport.roundtrip(0, frame, out);
@@ -399,13 +387,10 @@ Row run_sharded_store(const Params& p,
                       std::uint64_t shards, const std::string& store,
                       obs::Tracer* tracer, obs::SlowLog* slow) {
   if (store == "swiss")
-    return run_sharded<ShardedLoopbackTransport>(p, universe, budget_for(p),
-                                                 shards, store, tracer, slow);
-  if (store == "slab")
-    return run_sharded<ShardedSlabLoopbackTransport>(
-        p, universe, slab_config_for(p), shards, store, tracer, slow);
-  return run_sharded<ShardedMapLoopbackTransport>(p, universe, budget_for(p),
-                                                  shards, store, tracer, slow);
+    return run_sharded<ShardedLoopbackTransport>(p, universe, shards, store,
+                                                 tracer, slow);
+  return run_sharded<ShardedMapLoopbackTransport>(p, universe, shards, store,
+                                                  tracer, slow);
 }
 
 /// Boot one TCP server for the requested (storage engine, serving model)
@@ -418,13 +403,6 @@ std::unique_ptr<WireServer> boot_tcp(const Params& p, const std::string& store,
       return std::make_unique<ReactorKvServer>(budget_for(p), /*port=*/0,
                                                shards);
     return std::make_unique<TcpKvServer>(budget_for(p), /*port=*/0, shards);
-  }
-  if (store == "slab") {
-    if (reactor)
-      return std::make_unique<SlabReactorKvServer>(slab_config_for(p),
-                                                   /*port=*/0, shards);
-    return std::make_unique<SlabTcpKvServer>(slab_config_for(p), /*port=*/0,
-                                             shards);
   }
   if (reactor)
     return std::make_unique<MapReactorKvServer>(budget_for(p), /*port=*/0,
@@ -621,15 +599,15 @@ int run(int argc, char** argv) {
   json.param("pinned", p.pinned);
   if (mode == "tcp") json.param("connections_per_thread", connections);
 
-  // Which storage engines to bench: `--engine=map,slab,swiss` sweeps them
+  // Which storage engines to bench: `--engine=map,swiss` sweeps them
   // inside one run, so speedup_vs_first_row reads as "vs map" directly.
   std::vector<std::string> stores;
   {
     std::stringstream list(engine_spec);
     std::string item;
     while (std::getline(list, item, ',')) {
-      if (item != "map" && item != "slab" && item != "swiss") {
-        std::fprintf(stderr, "unknown --engine entry %s (map|slab|swiss)\n",
+      if (item != "map" && item != "swiss") {
+        std::fprintf(stderr, "unknown --engine entry %s (map|swiss)\n",
                      item.c_str());
         return 1;
       }

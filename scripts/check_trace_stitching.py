@@ -94,9 +94,10 @@ def main(argv):
                 f"dispatch span {args_of(dispatch[0]).get('span_id')} "
                 "has no handle child")
 
-    # 3. No orphan spans.
+    # 3. No orphan spans (a root span carries no parent_id).
+    known_parents = span_ids | {None}
     orphans = [e for e in spans
-               if args_of(e).get("parent_id") not in (None, *span_ids)]
+               if args_of(e).get("parent_id") not in known_parents]
     if orphans:
         problems.append(
             f"{len(orphans)} spans reference a missing parent, e.g. "

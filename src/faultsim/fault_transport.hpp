@@ -1,6 +1,6 @@
 // KvTransport decorator that injects scheduled faults.
 //
-// Wraps any real transport (loopback, slab loopback, TCP) and applies a
+// Wraps any real transport (loopback, sharded loopback, TCP) and applies a
 // FaultSchedule to every roundtrip: crash windows reject the attempt,
 // message drops lose it, truncation corrupts the response bytes mid-frame,
 // and "partial" strips trailing VALUE blocks while keeping the frame

@@ -5,7 +5,6 @@
 // here instead of in whichever user TU first touches them.
 namespace rnb::kv {
 template class BasicKvServer<MemTable>;
-template class BasicKvServer<SlabMemTable>;
 template class BasicKvServer<ShardedSwissMemTable>;
 template class BasicKvServer<ShardedMemTable>;
 }  // namespace rnb::kv

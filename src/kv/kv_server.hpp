@@ -7,13 +7,12 @@
 // lookup, value copy).
 //
 // BasicKvServer is generic over the engine: MemTable (byte-budget global
-// LRU — the reference oracle), SlabMemTable (memcached's slab classes with
-// per-class LRU), SwissMemTable (open addressing), or the sharded wrappers
-// of each (striped locks, one LRU domain per shard; the sharded swiss
-// table is the serving engine). Request counters are relaxed atomics, so
-// handle() is exactly as thread-safe as the engine underneath: with a
-// sharded engine concurrent handle() calls are safe and scale; with a
-// plain engine the caller serializes (the loopback transport's dispatch
+// LRU — the reference oracle), SwissMemTable (open addressing), or the
+// sharded wrappers of each (striped locks, one LRU domain per shard; the
+// sharded swiss table is the serving engine). Request counters are relaxed
+// atomics, so handle() is exactly as thread-safe as the engine underneath:
+// with a sharded engine concurrent handle() calls are safe and scale; with
+// a plain engine the caller serializes (the loopback transport's dispatch
 // mutex).
 //
 // A get copies each hit's value once out of the engine, into a per-thread
@@ -35,7 +34,6 @@
 #include "kv/memtable.hpp"
 #include "kv/protocol.hpp"
 #include "kv/sharded_memtable.hpp"
-#include "kv/slab_memtable.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slow_log.hpp"
 #include "obs/trace.hpp"
@@ -67,8 +65,7 @@ template <typename Store>
 class BasicKvServer {
  public:
   /// Construct the underlying store from whatever it takes (byte budget for
-  /// MemTable, SlabConfig for SlabMemTable, budget + shard count for
-  /// ShardedMemTable).
+  /// MemTable, budget + shard count for the sharded tables).
   template <typename... StoreArgs>
   explicit BasicKvServer(StoreArgs&&... store_args)
       : table_(std::forward<StoreArgs>(store_args)...) {}
@@ -173,12 +170,6 @@ class BasicKvServer {
   /// True when the engine aggregates striped-lock contention counters.
   static constexpr bool kLockCounters =
       requires(const Store& t) { t.lock_counters(); };
-  /// True when the engine can page through its entries (the migration
-  /// `scan` verb). Slab engines can't; they answer SERVER_ERROR.
-  static constexpr bool kScan =
-      requires(const Store& t, std::vector<ScanEntry>& out) {
-        t.scan(std::uint64_t{}, std::size_t{}, out);
-      };
 
   /// Execute one parsed command. Spans (dispatch > handle, then format)
   /// only materialize when a tracer is installed.
@@ -197,8 +188,13 @@ class BasicKvServer {
     const std::uint64_t cmd_epoch = command_epoch(cmd);
     if (cmd_epoch != 0 && server_epoch != 0 && cmd_epoch < server_epoch &&
         !std::holds_alternative<EpochCommand>(cmd)) {
-      counters_.wrong_epoch.fetch_add(1, std::memory_order_relaxed);
       txn_span.note("outcome", "wrong_epoch");
+      {
+        obs::SpanScope dispatch_span("dispatch", "server");
+        obs::SpanScope handle_span("handle", "server");
+        counters_.wrong_epoch.fetch_add(1, std::memory_order_relaxed);
+        handle_span.arg("epoch", static_cast<std::int64_t>(server_epoch));
+      }
       format_response(
           [&] { encode_wrong_epoch(server_epoch, response); }, response);
       return;
@@ -309,49 +305,40 @@ class BasicKvServer {
     }
     if (const auto* scan = std::get_if<ScanCommand>(&cmd)) {
       counters_.scans.fetch_add(1, std::memory_order_relaxed);
-      if constexpr (kScan) {
-        std::vector<ScanEntry> entries;
-        entries.reserve(scan->max_keys);
-        std::uint64_t next = 0;
-        {
-          obs::SpanScope dispatch_span("dispatch", "server");
-          obs::SpanScope handle_span("handle", "server");
-          next = table_.scan(scan->cursor, scan->max_keys, entries);
-          handle_span.arg("entries",
-                          static_cast<std::int64_t>(entries.size()));
-        }
-        ScanPage page;
-        page.next_cursor = next;
-        page.entries.reserve(entries.size());
-        for (ScanEntry& e : entries)
-          page.entries.push_back(
-              Value{std::move(e.key), std::move(e.value), e.version,
-                    e.pinned ? kValueFlagPinned : 0u});
-        txn_span.arg("entries",
-                     static_cast<std::int64_t>(page.entries.size()));
-        format_response([&] { encode_scan_page(page, response); }, response);
-      } else {
-        format_response(
-            [&] { encode_simple("SERVER_ERROR scan unsupported", response); },
-            response);
+      std::vector<ScanEntry> entries;
+      entries.reserve(scan->max_keys);
+      std::uint64_t next = 0;
+      {
+        obs::SpanScope dispatch_span("dispatch", "server");
+        obs::SpanScope handle_span("handle", "server");
+        next = table_.scan(scan->cursor, scan->max_keys, entries);
+        handle_span.arg("entries", static_cast<std::int64_t>(entries.size()));
       }
+      ScanPage page;
+      page.next_cursor = next;
+      page.entries.reserve(entries.size());
+      for (ScanEntry& e : entries)
+        page.entries.push_back(Value{std::move(e.key), std::move(e.value),
+                                     e.version,
+                                     e.pinned ? kValueFlagPinned : 0u});
+      txn_span.arg("entries", static_cast<std::int64_t>(page.entries.size()));
+      format_response([&] { encode_scan_page(page, response); }, response);
       return;
     }
     if (const auto* ep = std::get_if<EpochCommand>(&cmd)) {
-      obs::SpanScope handle_span("handle", "server");
-      if (ep->set_epoch != 0) {
-        epoch_.store(ep->set_epoch, std::memory_order_relaxed);
-        txn_span.arg("epoch", static_cast<std::int64_t>(ep->set_epoch));
-        format_response([&] { encode_simple("OK", response); }, response);
-      } else {
-        format_response(
-            [&] {
-              encode_simple("EPOCH " + std::to_string(epoch_.load(
-                                           std::memory_order_relaxed)),
-                            response);
-            },
-            response);
+      std::string reply = "OK";
+      {
+        obs::SpanScope dispatch_span("dispatch", "server");
+        obs::SpanScope handle_span("handle", "server");
+        if (ep->set_epoch != 0)
+          epoch_.store(ep->set_epoch, std::memory_order_relaxed);
+        else
+          reply = "EPOCH " +
+                  std::to_string(epoch_.load(std::memory_order_relaxed));
       }
+      if (ep->set_epoch != 0)
+        txn_span.arg("epoch", static_cast<std::int64_t>(ep->set_epoch));
+      format_response([&] { encode_simple(reply, response); }, response);
       return;
     }
     if (const auto* del = std::get_if<DeleteCommand>(&cmd)) {
@@ -562,7 +549,7 @@ class BasicKvServer {
                    label)
             .set(static_cast<double>(shard.entries));
         // Probe-behaviour series exist only for open-addressing engines
-        // (the swiss table), so map/slab stats output is unchanged.
+        // (the swiss table), so map stats output is unchanged.
         if constexpr (requires { shard.has_probe; }) {
           if (shard.has_probe) {
             registry
@@ -663,14 +650,6 @@ class BasicKvServer {
 /// callers serialize).
 using KvServer = BasicKvServer<MemTable>;
 
-/// Memcached-faithful engine: slab classes with per-class LRU.
-using SlabKvServer = BasicKvServer<SlabMemTable>;
-
-/// Open-addressing engine: swiss-table layout with slab-backed payloads.
-/// Observably identical responses to KvServer for the same operation
-/// sequence (the equivalence fuzz pins this).
-using SwissKvServer = BasicKvServer<SwissMemTable>;
-
 /// The serving engine: sharded swiss tables with striped locks, hash-once
 /// routing and batched per-shard reads — handle() is thread-safe and
 /// scales with cores. Every ServerGroup, TcpFleet and elastic member runs
@@ -681,8 +660,5 @@ using ShardedKvServer = BasicKvServer<ShardedSwissMemTable>;
 /// loadgen `store=map` rows). One shard reproduces KvServer's responses
 /// byte-for-byte.
 using ShardedMapKvServer = BasicKvServer<ShardedMemTable>;
-
-/// Concurrent memcached-faithful engine: sharded slab arenas.
-using ShardedSlabKvServer = BasicKvServer<ShardedSlabMemTable>;
 
 }  // namespace rnb::kv

@@ -205,13 +205,11 @@ class ReactorServerCore {
 template <typename KvServerT>
 class BasicReactorKvServer final : public WireServer {
  public:
-  /// `budget` is whatever the engine's store takes first: a byte budget
-  /// for map/swiss engines, a SlabConfig for the slab engine.
-  template <typename BudgetT>
-  explicit BasicReactorKvServer(const BudgetT& budget,
+  explicit BasicReactorKvServer(std::size_t byte_budget,
                                 std::uint16_t port = 0,
                                 std::size_t num_shards = 0)
-      : server_(budget, num_shards), core_(RequestSink::of(server_), port) {
+      : server_(byte_budget, num_shards),
+        core_(RequestSink::of(server_), port) {
     // Same wire-health series as the thread-per-connection server, plus
     // the loop-level signals only a reactor has. Installed before the
     // loop thread starts, so no stats frame can race the assignment.
@@ -277,8 +275,5 @@ using ReactorKvServer = BasicReactorKvServer<ShardedKvServer>;
 /// Sharded reference (map) engine over the same loop
 /// (`loadgen_kv --engine=map`).
 using MapReactorKvServer = BasicReactorKvServer<ShardedMapKvServer>;
-
-/// Sharded slab engine over the same loop (`loadgen_kv --engine=slab`).
-using SlabReactorKvServer = BasicReactorKvServer<ShardedSlabKvServer>;
 
 }  // namespace rnb::kv

@@ -7,8 +7,8 @@
 // across S = next_pow2(hw_threads) shards by the same seeded key hash the
 // rest of the stack uses (FNV-1a, decorrelated with fmix64 so shard index,
 // hash-table bucket, and replica placement are pairwise independent). Each
-// shard owns a complete engine — its own table, LRU chain (or slab arena +
-// per-class LRUs), and pinned set — plus one obs::InstrumentedSharedMutex:
+// shard owns a complete engine — its own table, LRU chain, and pinned set —
+// plus one obs::InstrumentedSharedMutex:
 //   shared     get fast path (pinned / already-MRU / miss), peek, contains
 //   exclusive  set, cas, erase, and gets that must move an LRU position
 //
@@ -48,7 +48,6 @@
 #include "common/hash.hpp"
 #include "common/sharding.hpp"
 #include "kv/memtable.hpp"
-#include "kv/slab_memtable.hpp"
 #include "kv/swiss_memtable.hpp"
 #include "obs/contention.hpp"
 
@@ -130,7 +129,7 @@ class BasicShardedTable {
 
   /// `num_shards` must already be resolved (power of two >= 1); every shard
   /// is constructed from the same `per_shard_args` — callers divide budgets
-  /// before constructing (see ShardedMemTable / ShardedSlabMemTable).
+  /// before constructing (see ShardedMemTable / ShardedSwissMemTable).
   template <typename... Args>
   explicit BasicShardedTable(std::size_t num_shards,
                              const Args&... per_shard_args) {
@@ -260,19 +259,13 @@ class BasicShardedTable {
       return s.engine.contains(key);
   }
 
-  /// Migration paging across shards, available only when the wrapped engine
-  /// can scan (SlabMemTable engines lack it; the server answers
-  /// SERVER_ERROR there). Cursor layout: shard index in the top 16 bits,
-  /// the shard's own skip-count cursor below — so a page boundary resumes
-  /// inside the right shard without global coordination. Each shard is read
-  /// under its shared lock; the page is weakly consistent across shards,
-  /// which migration's idempotent re-sets tolerate.
+  /// Migration paging across shards. Cursor layout: shard index in the top
+  /// 16 bits, the shard's own skip-count cursor below — so a page boundary
+  /// resumes inside the right shard without global coordination. Each shard
+  /// is read under its shared lock; the page is weakly consistent across
+  /// shards, which migration's idempotent re-sets tolerate.
   std::uint64_t scan(std::uint64_t cursor, std::size_t max_keys,
-                     std::vector<ScanEntry>& out) const
-    requires requires(const Engine& e, std::vector<ScanEntry>& v) {
-      e.scan(std::uint64_t{}, std::size_t{}, v);
-    }
-  {
+                     std::vector<ScanEntry>& out) const {
     constexpr std::uint64_t kShardShift = 48;
     constexpr std::uint64_t kOffsetMask =
         (std::uint64_t{1} << kShardShift) - 1;
@@ -494,24 +487,6 @@ class ShardedSwissMemTable : public BasicShardedTable<SwissMemTable> {
  private:
   ShardedSwissMemTable(std::size_t byte_budget, std::size_t resolved, int)
       : BasicShardedTable<SwissMemTable>(resolved, byte_budget / resolved) {}
-};
-
-/// Slab-engine shards: each shard gets its own arena with 1/S of the page
-/// budget (class geometry unchanged).
-class ShardedSlabMemTable : public BasicShardedTable<SlabMemTable> {
- public:
-  explicit ShardedSlabMemTable(const SlabConfig& config,
-                               std::size_t num_shards = 0)
-      : ShardedSlabMemTable(config, resolve_shard_count(num_shards), 0) {}
-
- private:
-  static SlabConfig per_shard(SlabConfig config, std::size_t shards) {
-    config.total_bytes /= shards;
-    return config;
-  }
-  ShardedSlabMemTable(const SlabConfig& config, std::size_t resolved, int)
-      : BasicShardedTable<SlabMemTable>(resolved, per_shard(config, resolved)) {
-  }
 };
 
 }  // namespace rnb::kv

@@ -8,7 +8,7 @@
 // leaves, so a workload shift can starve one class while another hoards
 // idle pages. The simulators assume equal-size items (paper Section III-B)
 // partly BECAUSE this allocator makes same-class items interchangeable;
-// SlabMemTable builds the per-class-LRU store on top.
+// SwissMemTable stores its key+value payloads in its chunks.
 #pragma once
 
 #include <cstdint>

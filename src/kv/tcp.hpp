@@ -150,12 +150,10 @@ class TcpServerCore {
 template <typename KvServerT>
 class BasicTcpKvServer final : public WireServer {
  public:
-  /// `budget` is whatever the engine's store takes first: a byte budget
-  /// for map/swiss engines, a SlabConfig for the slab engine.
-  template <typename BudgetT>
-  explicit BasicTcpKvServer(const BudgetT& budget, std::uint16_t port = 0,
+  explicit BasicTcpKvServer(std::size_t byte_budget, std::uint16_t port = 0,
                             std::size_t num_shards = 0)
-      : server_(budget, num_shards), core_(RequestSink::of(server_), port) {
+      : server_(byte_budget, num_shards),
+        core_(RequestSink::of(server_), port) {
     // Publish wire-level health through the engine's `stats` verb.
     // Installed before the acceptor starts, so no stats frame can race
     // the assignment.
@@ -213,9 +211,6 @@ using TcpKvServer = BasicTcpKvServer<ShardedKvServer>;
 /// Sharded reference (map) engine over the same core
 /// (`loadgen_kv --engine=map`).
 using MapTcpKvServer = BasicTcpKvServer<ShardedMapKvServer>;
-
-/// Sharded slab engine over the same core (`loadgen_kv --engine=slab`).
-using SlabTcpKvServer = BasicTcpKvServer<ShardedSlabKvServer>;
 
 /// A blocking client connection speaking the text protocol over TCP.
 class TcpKvConnection {

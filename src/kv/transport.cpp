@@ -15,7 +15,6 @@ const char* to_string(TransportStatus status) noexcept {
 }
 
 template class BasicLoopbackTransport<KvServer>;
-template class BasicLoopbackTransport<SlabKvServer>;
 template class BasicLoopbackTransport<ShardedKvServer, false>;
 template class BasicLoopbackTransport<ShardedMapKvServer, false>;
 }  // namespace rnb::kv

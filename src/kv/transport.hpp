@@ -5,7 +5,7 @@
 // parse/handle/format path on the target server, and hands back response
 // bytes. How calls are synchronized depends on the engine:
 //
-//   * Plain engines (MemTable, SlabMemTable) are not thread-safe, so every
+//   * Plain engines (MemTable) are not thread-safe, so every
 //     roundtrip crosses a per-server dispatch mutex — the historical
 //     "single dispatch thread" model. That mutex is what makes the
 //     two-client experiment of Fig. 14 meaningful in-process: concurrent
@@ -18,9 +18,8 @@
 //     bench measures exactly this difference.
 //
 // Generic over the storage engine: LoopbackTransport uses the byte-budget
-// MemTable, SlabLoopbackTransport the memcached-faithful slab engine,
-// ShardedLoopbackTransport the serving engine (sharded swiss), and the
-// ShardedMap/ShardedSlab fleets the sharded forms of the other two.
+// MemTable, ShardedLoopbackTransport the serving engine (sharded swiss),
+// and ShardedMapLoopbackTransport the sharded form of the MemTable.
 #pragma once
 
 #include <memory>
@@ -42,8 +41,7 @@ template <typename Server, bool kSerializeDispatch = true>
 class BasicLoopbackTransport final : public KvTransport {
  public:
   /// Spin up `num_servers` servers, each constructed from `args` (byte
-  /// budget for KvServer, SlabConfig for SlabKvServer, budget + shard
-  /// count for the sharded servers).
+  /// budget for KvServer, budget + shard count for the sharded servers).
   template <typename... Args>
   explicit BasicLoopbackTransport(ServerId num_servers, const Args&... args) {
     RNB_REQUIRE(num_servers > 0);
@@ -97,9 +95,6 @@ class BasicLoopbackTransport final : public KvTransport {
 /// per-server dispatch mutex (deterministic; the Fig. 13/14 baseline).
 using LoopbackTransport = BasicLoopbackTransport<KvServer>;
 
-/// Memcached-faithful fleet: slab classes with per-class LRU.
-using SlabLoopbackTransport = BasicLoopbackTransport<SlabKvServer>;
-
 /// Concurrent serving fleet: sharded swiss engines, no dispatch mutex —
 /// roundtrips from many client threads execute in parallel on one server.
 /// ServerGroup's in-process wire.
@@ -110,9 +105,5 @@ using ShardedLoopbackTransport =
 /// `--engine=map` loopback path).
 using ShardedMapLoopbackTransport =
     BasicLoopbackTransport<ShardedMapKvServer, /*kSerializeDispatch=*/false>;
-
-/// Concurrent memcached-faithful fleet: sharded slab arenas.
-using ShardedSlabLoopbackTransport =
-    BasicLoopbackTransport<ShardedSlabKvServer, /*kSerializeDispatch=*/false>;
 
 }  // namespace rnb::kv

@@ -4,12 +4,12 @@
 // thread-per-connection TcpServerCore (kv/tcp.hpp) and the epoll reactor
 // (kv/reactor.hpp). Both are engine-agnostic: they dispatch complete frames
 // through a RequestSink, a type-erased handle to any BasicKvServer
-// instantiation, so the same socket code serves the map, slab, and swiss
-// engines. BasicTcpKvServer<KvServerT> / BasicReactorKvServer<KvServerT>
-// pair a core with a concrete engine server and implement WireServer —
-// the interface TcpFleet and dserve::ServerGroup hold pointers to, making
-// both the connection model and the storage engine boot-time choices
-// instead of type changes rippling through the serving tier.
+// instantiation, so the same socket code serves the map and swiss engines.
+// BasicTcpKvServer<KvServerT> / BasicReactorKvServer<KvServerT> pair a core
+// with a concrete engine server and implement WireServer — the interface
+// TcpFleet and dserve::ServerGroup hold pointers to, making both the
+// connection model and the storage engine boot-time choices instead of type
+// changes rippling through the serving tier.
 #pragma once
 
 #include <cstdint>

@@ -14,7 +14,6 @@
 #include "common/rng.hpp"
 #include "kv/memtable.hpp"
 #include "kv/sharded_memtable.hpp"
-#include "kv/slab_memtable.hpp"
 #include "kv/swiss_memtable.hpp"
 
 namespace rnb {
@@ -162,11 +161,9 @@ TEST(EngineEquivalence, EngineNamesIdentifyTheStore) {
   // The observability identity every engine declares, forwarded through
   // the sharded wrapper — slow-log entries and stats labels ride on it.
   EXPECT_STREQ(MemTable::kEngineName, "map");
-  EXPECT_STREQ(kv::SlabMemTable::kEngineName, "slab");
   EXPECT_STREQ(SwissMemTable::kEngineName, "swiss");
   EXPECT_STREQ(kv::ShardedMemTable::kEngineName, "map");
   EXPECT_STREQ(kv::ShardedSwissMemTable::kEngineName, "swiss");
-  EXPECT_STREQ(kv::ShardedSlabMemTable::kEngineName, "slab");
 }
 
 }  // namespace

@@ -250,41 +250,5 @@ TEST(RnbKvClient, HitchhikingIdenticalResultsOnWarmCaches) {
   EXPECT_EQ(with.round2_transactions, 0u);
 }
 
-
-TEST(RnbKvClient, WorksEndToEndOnSlabEngine) {
-  // The memcached-faithful slab fleet behind the same client: per-class
-  // LRU eviction, pinned distinguished copies, identical RnB semantics.
-  SlabConfig slab;
-  slab.total_bytes = 1u << 20;
-  slab.page_bytes = 1u << 16;
-  SlabLoopbackTransport fleet(8, slab);
-  RnbKvClient client(fleet, {.replication = 3});
-  const auto keys = keys_0_to(100);
-  for (const auto& k : keys) client.set(k, "slab value");
-  const auto result = client.multi_get(keys);
-  EXPECT_TRUE(result.missing.empty());
-  EXPECT_EQ(result.values.size(), 100u);
-  EXPECT_LE(result.round1_transactions, 8u);
-  EXPECT_EQ(client.atomic_update(
-                "key:0", [](std::string_view) { return "patched"; }),
-            RnbKvClient::UpdateOutcome::kUpdated);
-  EXPECT_EQ(*client.get("key:0"), "patched");
-}
-
-TEST(RnbKvClient, SlabEngineSurvivesReplicaChurn) {
-  // Tight slab budget: replica copies churn through per-class LRU, but the
-  // pinned distinguished copies keep every key recoverable.
-  SlabConfig slab;
-  slab.total_bytes = 64u << 10;
-  slab.page_bytes = 8u << 10;
-  SlabLoopbackTransport fleet(8, slab);
-  RnbKvClient client(fleet, {.replication = 3});
-  const auto keys = keys_0_to(200);
-  for (const auto& k : keys) client.set(k, std::string(100, 'v'));
-  const auto result = client.multi_get(keys);
-  EXPECT_TRUE(result.missing.empty());
-  EXPECT_EQ(result.values.size(), 200u);
-}
-
 }  // namespace
 }  // namespace rnb::kv

@@ -96,18 +96,6 @@ TEST(ScanVerb, EmptyTableAnswersExhaustedPage) {
   EXPECT_TRUE(page->entries.empty());
 }
 
-TEST(ScanVerb, SlabEngineReportsScanUnsupported) {
-  // The slab engine has no scan; the server must answer a well-formed
-  // SERVER_ERROR instead of pretending an empty keyspace.
-  SlabConfig slab;
-  slab.total_bytes = 1u << 20;
-  SlabKvServer server(slab);
-  std::string request, response;
-  encode_scan(0, 10, request);
-  server.handle(request, response);
-  EXPECT_EQ(response, "SERVER_ERROR scan unsupported\r\n");
-}
-
 TEST(ScanVerb, ZeroMaxKeysIsAParseError) {
   EXPECT_FALSE(parse_command("scan 0 0\r\n", nullptr).has_value());
   KvServer server(kBudget);

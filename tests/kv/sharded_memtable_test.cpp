@@ -244,39 +244,5 @@ TEST(ShardedMemTable, StatsAggregateFastAndSlowReadPaths) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
-TEST(ShardedSlabMemTable, SingleShardServesAndEvicts) {
-  SlabConfig config;
-  config.total_bytes = 1u << 20;  // one default-size page
-  ShardedSlabMemTable table(config, 1);
-  ASSERT_EQ(table.shard_count(), 1u);
-  EXPECT_TRUE(table.set("k", "v"));
-  const auto r = table.get("k");
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->value, "v");
-  EXPECT_FALSE(table.get("missing"));
-}
-
-TEST(ShardedSlabMemTable, ConcurrentReadersAndWriters) {
-  SlabConfig config;
-  config.total_bytes = 4u << 20;  // one default-size page per shard
-  ShardedSlabMemTable table(config, 4);
-  for (std::uint64_t i = 0; i < 64; ++i) table.set(key_of(i), "seed");
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Xoshiro256 rng(200 + t);
-      for (int op = 0; op < 1000; ++op) {
-        const std::string key = key_of(rng.below(64));
-        if (rng.below(2) == 0)
-          table.set(key, "x" + std::to_string(t));
-        else
-          table.get(key);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(table.entries(), 64u);
-}
-
 }  // namespace
 }  // namespace rnb::kv

@@ -37,6 +37,36 @@ TEST(SwissKvServer, SetGetDeleteOverProtocol) {
   EXPECT_EQ(parse_simple(resp), "DELETED");
 }
 
+TEST(SwissKvServer, OversizedSetReportsServerError) {
+  // An unpinned item larger than its shard's budget slice cannot be stored;
+  // the engine refuses it and the server says so on the wire.
+  ShardedKvServer server(8192, /*num_shards=*/4);
+  std::string req, resp;
+  encode_set("k", std::string(5000, 'x'), false, req);
+  server.handle(req, resp);
+  EXPECT_EQ(parse_simple(resp), "SERVER_ERROR out of memory");
+}
+
+TEST(SwissKvServer, EvictionVisibleThroughProtocol) {
+  ShardedKvServer server(8192, /*num_shards=*/4);
+  std::string req, resp;
+  for (int i = 0; i < 300; ++i) {
+    req.clear();
+    encode_set("key" + std::to_string(i), "v", false, req);
+    server.handle(req, resp);
+    ASSERT_EQ(parse_simple(resp), "STORED");
+  }
+  EXPECT_GT(server.table().stats().evictions, 0u);
+  // The earliest key is gone, the latest present.
+  req.clear();
+  encode_get({"key0", "key299"}, false, req);
+  server.handle(req, resp);
+  const auto values = parse_values(resp, false);
+  ASSERT_TRUE(values.has_value());
+  ASSERT_EQ(values->size(), 1u);
+  EXPECT_EQ((*values)[0].key, "key299");
+}
+
 TEST(SwissKvServer, ResponsesMatchMapEngineByteForByte) {
   // Same frames into the map-engine server and the swiss-engine server:
   // every response must be identical (values, versions, errors, order).

@@ -83,17 +83,19 @@ TEST(TraceStitching, EveryClientTransactionHasExactlyOneServerChild) {
   EXPECT_GT(client_transactions, 60u);
 }
 
-TEST(TraceStitching, ServerTreesBreakDownIntoParseDispatchHandleFormat) {
-  const TracedRun run = traced_run();
+// Every server transaction in `events` has exactly one parse, dispatch and
+// format child, with one handle span nested under the dispatch. Returns the
+// number of server transactions checked.
+std::size_t check_server_trees(const std::vector<TraceEvent>& events) {
   std::map<std::uint64_t, const TraceEvent*> by_span;
-  for (const TraceEvent& e : run.events)
+  for (const TraceEvent& e : events)
     if (e.span_id != 0) by_span[e.span_id] = &e;
   std::size_t server_transactions = 0;
-  for (const TraceEvent& e : run.events) {
+  for (const TraceEvent& e : events) {
     if (!is_span(e, "transaction", "server")) continue;
     ++server_transactions;
     std::size_t parse = 0, dispatch = 0, format = 0, handle = 0;
-    for (const TraceEvent& c : run.events) {
+    for (const TraceEvent& c : events) {
       if (c.parent_id == e.span_id) {
         parse += is_span(c, "parse", "server");
         dispatch += is_span(c, "dispatch", "server");
@@ -103,6 +105,7 @@ TEST(TraceStitching, ServerTreesBreakDownIntoParseDispatchHandleFormat) {
       if (is_span(c, "handle", "server")) {
         const auto parent = by_span.find(c.parent_id);
         if (parent != by_span.end() &&
+            is_span(*parent->second, "dispatch", "server") &&
             parent->second->parent_id == e.span_id)
           ++handle;
       }
@@ -112,7 +115,42 @@ TEST(TraceStitching, ServerTreesBreakDownIntoParseDispatchHandleFormat) {
     EXPECT_EQ(format, 1u);
     EXPECT_EQ(handle, 1u);
   }
-  EXPECT_GT(server_transactions, 0u);
+  return server_transactions;
+}
+
+TEST(TraceStitching, ServerTreesBreakDownIntoParseDispatchHandleFormat) {
+  EXPECT_GT(check_server_trees(traced_run().events), 0u);
+}
+
+TEST(TraceStitching, EpochTransactionsRecordTheFullServerTree) {
+  // During a membership change the controller sets and reads each member's
+  // epoch, and clients still planning on the old ring are answered
+  // WRONG_EPOCH; each of those transactions breaks down like any other.
+  Tracer tracer(Tracer::ClockMode::kVirtual);
+  Tracer::set_current(&tracer);
+  {
+    ShardedKvServer server(1 << 20, /*num_shards=*/2);
+    std::string request, response;
+    const auto send = [&](auto encode) {
+      obs::SpanScope client("transaction", "kv_client", obs::SpanKind::kRoot);
+      const obs::TraceContext ctx = client.context();
+      request.clear();
+      encode(TraceTag{ctx.trace_id, ctx.span_id, ctx.sampled});
+      server.handle(request, response);
+    };
+    send([&](const TraceTag& tag) { encode_epoch(7, request, tag); });
+    EXPECT_EQ(parse_simple(response), "OK");
+    send([&](const TraceTag& tag) { encode_epoch(0, request, tag); });
+    EXPECT_EQ(parse_simple(response), "EPOCH 7");
+    send([&](const TraceTag& tag) {
+      encode_get({"k"}, false, request);
+      append_epoch_tag(request, 6);
+      append_trace_tag(request, tag);
+    });
+    EXPECT_EQ(server.counters().wrong_epoch, 1u);
+  }
+  Tracer::set_current(nullptr);
+  EXPECT_EQ(check_server_trees(tracer.snapshot_events()), 3u);
 }
 
 TEST(TraceStitching, NoSpanReferencesAMissingParent) {
