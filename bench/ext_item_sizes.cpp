@@ -9,7 +9,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "kv/rnb_kv_client.hpp"
+#include "dserve/cluster_client.hpp"
 #include "kv/transport.hpp"
 
 int main(int argc, char** argv) {
@@ -47,8 +47,11 @@ int main(int argc, char** argv) {
       kv::LoopbackTransport fleet(
           8, static_cast<std::size_t>(mem * static_cast<double>(
                                                 fair_share_bytes)));
-      kv::RnbKvClient client(fleet,
-                             {.replication = replicas, .hitchhiking = true});
+      dserve::ClusterView view(fleet.num_servers(),
+                               {.replication = replicas});
+      dserve::KvClusterClientConfig config;
+      config.hitchhiking = true;
+      dserve::KvClusterClient client(fleet, view, config);
       std::vector<std::string> keys(keys_total);
       for (std::uint64_t i = 0; i < keys_total; ++i) {
         keys[i] = "item:" + std::to_string(i);

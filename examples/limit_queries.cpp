@@ -8,14 +8,14 @@
 // completeness against transactions — with and without replication.
 #include <iostream>
 
-#include "kv/rnb_kv_client.hpp"
+#include "dserve/cluster_client.hpp"
 #include "kv/transport.hpp"
 
 int main() {
   using namespace rnb;
   kv::LoopbackTransport fleet(16, 64u << 20);
 
-  const auto populate = [&](kv::RnbKvClient& client, int n) {
+  const auto populate = [&](dserve::KvClusterClient& client, int n) {
     for (int i = 0; i < n; ++i)
       client.set("candidate:" + std::to_string(i),
                  "feature-vector-" + std::to_string(i));
@@ -28,7 +28,9 @@ int main() {
   std::cout << "request: 100 candidate items, 16 servers\n\n";
   std::cout << "replication  fraction  fetched  transactions\n";
   for (const std::uint32_t replication : {1u, 3u, 5u}) {
-    kv::RnbKvClient client(fleet, {.replication = replication});
+    dserve::ClusterView view(fleet.num_servers(),
+                             {.replication = replication});
+    dserve::KvClusterClient client(fleet, view, {});
     populate(client, 100);
     for (const double fraction : {1.0, 0.95, 0.9, 0.5}) {
       const auto result = client.multi_get_at_least(request, fraction);

@@ -8,7 +8,7 @@
 // and an atomic read-modify-write.
 #include <iostream>
 
-#include "kv/rnb_kv_client.hpp"
+#include "dserve/cluster_client.hpp"
 #include "kv/transport.hpp"
 
 int main() {
@@ -17,10 +17,12 @@ int main() {
   // 1. Eight in-process servers, 64 MiB of evictable memory each.
   kv::LoopbackTransport fleet(/*num_servers=*/8, /*bytes_per_server=*/64u << 20);
 
-  // 2. A client that keeps 3 replicas of every key. Replica 0 — the
-  //    "distinguished copy" — lands exactly where stock consistent hashing
-  //    would put the key, so RnB can be rolled out over an existing fleet.
-  kv::RnbKvClient client(fleet, {.replication = 3});
+  // 2. A placement that keeps 3 replicas of every key, and a client over
+  //    it. Replica 0 — the "distinguished copy" — lands exactly where stock
+  //    consistent hashing would put the key, so RnB can be rolled out over
+  //    an existing fleet.
+  dserve::ClusterView view(fleet.num_servers(), {.replication = 3});
+  dserve::KvClusterClient client(fleet, view, {});
 
   // 3. Writes go to all three replicas (the distinguished one pinned).
   for (int user = 0; user < 500; ++user)
@@ -40,7 +42,8 @@ int main() {
             << result.round2_transactions << " fallback)\n";
 
   // Compare with a replication-1 client (== consistent hashing).
-  kv::RnbKvClient naive(fleet, {.replication = 1});
+  dserve::ClusterView one_copy(fleet.num_servers(), {.replication = 1});
+  dserve::KvClusterClient naive(fleet, one_copy, {});
   for (const auto& k : friend_keys) {
     const auto v = client.get(k);
     naive.set(k, *v);

@@ -96,9 +96,10 @@ struct KvClusterClient::Scratch {
   ServerLists bundles;
   ServerLists hitchhikers;
 
-  // The open bundle: the stamp accept() checks items against, and the keys
-  // of the frame being encoded.
+  // The open bundle: the stamp accept() checks items against, its version
+  // mode, and the keys of the frame being encoded.
   std::uint64_t bundle = 0;
+  bool versioned = false;
   std::vector<std::string_view> keys;
   // What accept() made of the frame fetch() kept.
   std::vector<kv::ValueView> views;
@@ -216,6 +217,7 @@ struct KvClusterClient::Scratch {
   /// hitchhiker count.
   std::uint32_t open_bundle(ServerId srv, const ServerLists* extra) {
     ++bundle;
+    versioned = false;
     bundles.for_each(srv, [&](std::uint32_t i) { bundle_of[i] = bundle; });
     std::uint32_t riders = 0;
     if (extra != nullptr)
@@ -224,6 +226,12 @@ struct KvClusterClient::Scratch {
         ++riders;
       });
     return riders;
+  }
+
+  /// Open a bundle of item 0 alone: a single-key operation's key.
+  void open_key(bool with_versions) {
+    bundle_of[0] = ++bundle;
+    versioned = with_versions;
   }
 };
 
@@ -243,9 +251,10 @@ KvClusterClient::~KvClusterClient() = default;
 
 bool KvClusterClient::finish(
     kv::KvExchange::Pending& txn, double& elapsed,
-    const std::function<bool(const std::string&)>& valid) {
+    const std::function<bool(const std::string&)>& valid, bool allow_hedge) {
   const ServerId server = txn.ticket.server;
-  const bool ok = exchange_.finish(txn, response_, elapsed, valid);
+  const bool ok =
+      exchange_.finish(txn, response_, elapsed, valid, allow_hedge);
   if (ok && view_.marked(server)) view_.mark_up(server);
   return ok;
 }
@@ -256,7 +265,7 @@ bool KvClusterClient::accept(const std::string& frame) {
   // must not be confused with a truncated VALUE block.
   Scratch& s = *scratch_;
   s.bounced = false;
-  if (kv::parse_value_views(frame, /*with_versions=*/false, s.views)) {
+  if (kv::parse_value_views(frame, s.versioned, s.views)) {
     s.view_items.clear();
     for (const kv::ValueView& v : s.views) {
       const std::uint32_t i = s.find(v.key);
@@ -346,7 +355,7 @@ std::optional<std::string> KvClusterClient::get(std::string_view key) {
     bool bounced = false;
     for (std::size_t r = 0; r < servers.size() && !bounced; ++r) {
       s.ready(1);
-      s.bundle_of[0] = ++s.bundle;
+      s.open_key(/*with_versions=*/false);
       std::string& frame = s.frames[0];
       frame.clear();
       kv::encode_get({key}, /*with_versions=*/false, frame);
@@ -375,6 +384,23 @@ std::optional<std::string> KvClusterClient::get(std::string_view key) {
 
 KvClusterClient::MultiGetResult KvClusterClient::multi_get(
     std::span<const std::string> keys) {
+  return read(keys, 1.0, std::nullopt);
+}
+
+KvClusterClient::MultiGetResult KvClusterClient::multi_get_at_least(
+    std::span<const std::string> keys, double fraction) {
+  RNB_REQUIRE(fraction > 0.0 && fraction <= 1.0);
+  return read(keys, fraction, std::nullopt);
+}
+
+KvClusterClient::MultiGetResult KvClusterClient::multi_get_within(
+    std::span<const std::string> keys, std::uint32_t max_transactions) {
+  return read(keys, 1.0, max_transactions);
+}
+
+KvClusterClient::MultiGetResult KvClusterClient::read(
+    std::span<const std::string> keys, double fraction,
+    std::optional<std::uint32_t> budget) {
   view_.tick();
   const std::uint64_t op_started = view_.ops();
   Scratch& s = *scratch_;
@@ -406,7 +432,14 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
   const auto live = [this](ServerId srv) { return !view_.is_down(srv); };
   for (std::size_t i = 0; i < m; ++i)
     s.candidate_row(i, i, live, /*keep_all_if_none=*/true);
-  greedy_cover(s.instance(m), s.cover, s.greedy);
+  // A LIMIT cover leaves the items it skips at kInvalidServer: they join no
+  // bundle, ride no hitchhike, and take part in no later round.
+  if (budget.has_value())
+    greedy_cover_budget(s.instance(m), *budget, s.cover, s.greedy);
+  else
+    greedy_cover_partial(s.instance(m),
+                         CoverInstance::target_from_fraction(m, fraction),
+                         s.cover, s.greedy);
   // Mutable: recover rounds re-assign items stranded on failed servers.
   s.assignment = s.cover.assignment;
 
@@ -504,17 +537,20 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
   // transactions).
   s.bundles.reset(s.servers);
   for (std::size_t i = 0; i < m; ++i)
-    s.bundles.push(s.assignment[i], static_cast<std::uint32_t>(i));
+    if (s.assignment[i] != kInvalidServer)
+      s.bundles.push(s.assignment[i], static_cast<std::uint32_t>(i));
   if (config_.hitchhiking) {
     s.hitchhikers.reset(s.servers);
     for (const ServerId srv : s.cover.servers_used) s.planned[srv] = op;
-    for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t i = 0; i < m; ++i) {
+      if (s.assignment[i] == kInvalidServer) continue;
       for (const ServerId srv : s.row(i))
         if (srv != s.assignment[i] && s.planned[srv] == op)
           s.hitchhikers.push(srv, static_cast<std::uint32_t>(i));
+    }
   }
 
-  {
+  if (!s.cover.servers_used.empty()) {
     ++waves;
     obs::SpanScope wave_span("wave", "kv_client");
     wave_span.note("kind", "round1");
@@ -525,14 +561,19 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
              result.round1_transactions, nothing_after);
   }
 
+  // A budgeted read stops after round 1: no recover round, no round 2 and
+  // so no write-back; whatever round 1 did not bring is missing.
+  const bool round1_only = budget.has_value();
+
   // Recover rounds: items stranded on a failed server get the cover re-run
   // over their surviving replicas — replication means a dead bundle costs
   // extra transactions, not the keys. An epoch bounce strands the same way,
   // but first the round takes a fresh snapshot (the controller published
   // the newer ring before any server started bouncing) and re-places the
   // items against it.
-  for (std::uint32_t round = 0; round < config_.failure.max_recover_rounds;
-       ++round) {
+  const std::uint32_t recover_rounds =
+      round1_only ? 0 : config_.failure.max_recover_rounds;
+  for (std::uint32_t round = 0; round < recover_rounds; ++round) {
     if (out_of_time()) break;
     if (stale_view) {
       stale_view = false;
@@ -569,10 +610,12 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
 
   // Round 2: bundled fallbacks for evicted replicas — the distinguished
   // copy by default, or the first reachable replica when servers failed.
+  // Items a LIMIT cover skipped were never asked for, so they have no miss
+  // to fall back from.
   s.bundles.reset(s.servers);
   std::int64_t fallback_servers = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (s.satisfied[i] != 0) continue;
+  for (std::size_t i = 0; i < m && !round1_only; ++i) {
+    if (s.satisfied[i] != 0 || s.assignment[i] == kInvalidServer) continue;
     // A miss on a *reachable* distinguished server is authoritative — the
     // key does not exist; no fallback can change that. (A stranded item
     // never got an answer, so its miss proves nothing.)
@@ -652,41 +695,120 @@ KvClusterClient::MultiGetResult KvClusterClient::multi_get(
   return result;
 }
 
+bool KvClusterClient::drop(std::string_view key,
+                           std::span<const ServerId> servers,
+                           std::uint64_t epoch, double& elapsed,
+                           bool& bounced) {
+  Scratch& s = *scratch_;
+  s.ready(servers.size());
+  for (std::size_t r = 0; r < servers.size(); ++r) {
+    std::string& frame = s.frames[r];
+    frame.clear();
+    kv::encode_delete(key, frame);
+    kv::append_epoch_tag(frame, epoch);
+    exchange_.begin(s.txns[r], servers[r], frame);
+  }
+  bool deleted = false;
+  for (std::size_t r = 0; r < servers.size(); ++r) {
+    deleted = false;
+    if (!finish(s.txns[r], elapsed)) continue;
+    if (kv::parse_wrong_epoch(response_).has_value()) bounced = true;
+    deleted = kv::parse_simple(response_) == "DELETED";
+  }
+  return deleted;
+}
+
 bool KvClusterClient::remove(std::string_view key) {
   view_.tick();
   bool existed = false;
   double elapsed = 0.0;
-  Scratch& s = *scratch_;
   // One bounded replan on a WRONG_EPOCH bounce (deletes are idempotent).
   for (int plan = 0; plan < 2; ++plan) {
     const ClusterView::Snapshot placement = view_.snapshot();
     const std::span<const ServerId> servers = replicas_of(placement, key);
     bool bounced = false;
-    s.ready(servers.size());
-    const auto send = [&](std::size_t r) {
-      std::string& frame = s.frames[r];
-      frame.clear();
-      kv::encode_delete(key, frame);
-      kv::append_epoch_tag(frame, placement.epoch());
-      exchange_.begin(s.txns[r], servers[r], frame);
-    };
-    const auto answer = [&](std::size_t r) {
-      if (!finish(s.txns[r], elapsed)) return;
-      if (kv::parse_wrong_epoch(response_).has_value()) bounced = true;
-      if (r == 0) existed = kv::parse_simple(response_) == "DELETED";
-    };
     // Distinguished copy last: a concurrent reader that misses a replica
     // falls back to the distinguished copy, so it must outlive the others.
     // The other deletes go out together, and all are answered before the
     // distinguished one is sent.
-    for (std::size_t r = servers.size(); r-- > 1;) send(r);
-    for (std::size_t r = servers.size(); r-- > 1;) answer(r);
+    drop(key, servers.subspan(1), placement.epoch(), elapsed, bounced);
     if (exchange_.deadline_exceeded(elapsed)) break;
-    send(0);
-    answer(0);
+    existed =
+        drop(key, servers.first(1), placement.epoch(), elapsed, bounced);
     if (!bounced) break;
   }
   return existed;
+}
+
+KvClusterClient::UpdateOutcome KvClusterClient::atomic_update(
+    std::string_view key,
+    const std::function<std::string(std::string_view)>& mutate, int retries) {
+  view_.tick();
+  const std::uint64_t op_started = view_.ops();
+  double elapsed = 0.0;
+  Scratch& s = *scratch_;
+  s.index(std::span<const std::string_view>(&key, 1));
+  // Past the deadline nothing more goes out: a CAS sent late would land
+  // while its caller is told the update failed. A transaction the deadline
+  // cut short is a miss, not evidence against the server.
+  const auto out_of_time = [&]() {
+    if (!exchange_.deadline_exceeded(elapsed)) return false;
+    ++exchange_.stats().deadline_misses;
+    return true;
+  };
+  // One bounded replan on a WRONG_EPOCH bounce, as in set(): both steps are
+  // redone under the fresh snapshot, whose replicas may differ.
+  for (int plan = 0; plan < 2; ++plan) {
+    if (out_of_time()) return UpdateOutcome::kConflict;
+    const ClusterView::Snapshot placement = view_.snapshot();
+    const std::span<const ServerId> servers = replicas_of(placement, key);
+    const ServerId home = servers[0];
+    bool bounced = false;
+    // Step 1 (Section IV): remove all but the distinguished copy, so no
+    // reader can observe a stale replica after the CAS lands.
+    drop(key, servers.subspan(1), placement.epoch(), elapsed, bounced);
+    // Step 2: CAS the distinguished copy, retrying on version conflicts.
+    for (int attempt = 0; attempt <= retries && !bounced; ++attempt) {
+      if (out_of_time()) return UpdateOutcome::kConflict;
+      s.ready(1);
+      s.open_key(/*with_versions=*/true);
+      std::string& frame = s.frames[0];
+      frame.clear();
+      kv::encode_get({key}, /*with_versions=*/true, frame);
+      kv::append_epoch_tag(frame, placement.epoch());
+      exchange_.begin(s.txns[0], home, frame);
+      const Fetch got = fetch(s.txns[0], elapsed);
+      if (got == Fetch::kStale) {
+        bounced = true;
+        break;
+      }
+      if (got == Fetch::kFailed) {
+        if (!out_of_time()) view_.mark_down(home, op_started);
+        return UpdateOutcome::kConflict;  // unreachable, not absent
+      }
+      if (s.views.empty()) return UpdateOutcome::kNotFound;
+      if (out_of_time()) return UpdateOutcome::kConflict;
+
+      const std::string next = mutate(s.views.front().data);
+      frame.clear();
+      kv::encode_cas(key, next, s.views.front().version, frame);
+      kv::append_epoch_tag(frame, placement.epoch());
+      exchange_.begin(s.txns[0], home, frame);
+      // Never hedged: a duplicate CAS that loses the race to its own twin
+      // would answer EXISTS.
+      if (!finish(s.txns[0], elapsed, {}, /*allow_hedge=*/false)) {
+        if (!out_of_time()) view_.mark_down(home, op_started);
+        return UpdateOutcome::kConflict;
+      }
+      const std::string_view verdict = kv::parse_simple(response_);
+      if (verdict == "STORED") return UpdateOutcome::kUpdated;
+      if (verdict == "NOT_FOUND") return UpdateOutcome::kNotFound;
+      bounced = kv::parse_wrong_epoch(response_).has_value();
+      // EXISTS: someone raced us; re-read and retry.
+    }
+    if (!bounced) break;
+  }
+  return UpdateOutcome::kConflict;
 }
 
 }  // namespace rnb::dserve

@@ -1,14 +1,22 @@
-// KvClusterClient: the RnB read/write strategy against a live ServerGroup.
+// KvClusterClient: the RnB client of the paper's Section IV, against a
+// live ServerGroup or any fleet behind a KvTransport.
 //
-// This is RnbKvClient's cover/bundle/recover pipeline re-based onto the
-// shared ClusterView: placement comes from the view (one policy object for
-// the whole process instead of one per client), and covers are planned
-// over *surviving* replicas — a server that ate every attempt of a bundled
-// get is marked down in the view, so the next thousand requests from every
-// worker route around it instead of each burning a retry budget
-// rediscovering the crash. Down marks expire in view-op time and the next
-// cover probes the server; a success clears the mark (restore), a failure
-// renews it.
+//   set           writes every logical replica (replica 0 pinned),
+//   multi_get     bundles keys per server via greedy set cover, falls back
+//                 to distinguished copies for evicted replicas, and writes
+//                 missing replicas back; multi_get_at_least and
+//                 multi_get_within are its LIMIT forms (Section III-F),
+//   atomic_update drops the non-distinguished replicas, CASes the
+//                 distinguished copy, and lets reads repopulate replicas.
+//
+// Placement comes from a shared ClusterView (one policy object for the
+// whole process instead of one per client; a fixed fleet uses a static
+// view), and covers are planned over *surviving* replicas — a server that
+// ate every attempt of a bundled get is marked down in the view, so the
+// next thousand requests from every worker route around it instead of
+// each burning a retry budget rediscovering the crash. Down marks expire
+// in view-op time and the next cover probes the server; a success clears
+// the mark (restore), a failure renews it.
 //
 // The failure machinery (bounded retries, decorrelated-jitter backoff,
 // quantile hedging, virtual deadlines) is the shared KvExchange engine
@@ -79,7 +87,9 @@ class KvClusterClient {
 
   struct MultiGetResult {
     std::unordered_map<std::string, std::string> values;
-    /// Keys found on no reachable server.
+    /// Keys not returned: found on no reachable server, or skipped (never
+    /// sent) by a LIMIT or budgeted cover. values.size() + missing.size()
+    /// is the number of distinct keys.
     std::vector<std::string> missing;
     std::uint32_t round1_transactions = 0;
     std::uint32_t round2_transactions = 0;
@@ -102,12 +112,40 @@ class KvClusterClient {
 
   /// Fetch all keys with RnB bundling over surviving replicas. A response
   /// carrying a key its bundle did not ask for is malformed: it is counted
-  /// and retried like any garbled frame.
+  /// and retried like any garbled frame. In every multi_get form,
+  /// values.size() + missing.size() is the number of distinct keys.
   MultiGetResult multi_get(std::span<const std::string> keys);
+
+  /// LIMIT fetch (Section III-F): at least ceil(fraction * distinct keys)
+  /// of the keys. The cover chooses which keys to skip; a skipped key is
+  /// never sent and is reported in `missing`.
+  MultiGetResult multi_get_at_least(std::span<const std::string> keys,
+                                    double fraction);
+
+  /// Budgeted fetch: as many keys as at most `max_transactions` bundled
+  /// round-1 transactions cover (the "as many items as possible within
+  /// X ms" LIMIT form, with a transaction budget for the deadline). Round 1
+  /// only: no recover round, no round 2, no write-back — a deadline-bound
+  /// caller would rather go without than wait.
+  MultiGetResult multi_get_within(std::span<const std::string> keys,
+                                  std::uint32_t max_transactions);
 
   /// Delete every replica (distinguished last, so concurrent fallback
   /// readers never outlive it). True if the distinguished copy existed.
   bool remove(std::string_view key);
+
+  enum class UpdateOutcome { kUpdated, kNotFound, kConflict };
+
+  /// Read-modify-write with memcached-level atomicity (Section IV): delete
+  /// the non-distinguished replicas, then CAS the distinguished copy,
+  /// retrying up to `retries` times on version conflicts. Later multi_get
+  /// write-backs recreate the replicas. An unreachable distinguished copy
+  /// reports kConflict, and so does a deadline cut: once the policy's
+  /// deadline has passed, no further frame (versioned get or CAS) is sent.
+  UpdateOutcome atomic_update(
+      std::string_view key,
+      const std::function<std::string(std::string_view)>& mutate,
+      int retries = 4);
 
   ClusterView& view() noexcept { return view_; }
   const kv::KvFailureStats& failure_stats() const noexcept {
@@ -121,15 +159,28 @@ class KvClusterClient {
   /// Finish a begun transaction into response_; a success clears the
   /// server's down mark.
   bool finish(kv::KvExchange::Pending& txn, double& elapsed,
-              const std::function<bool(const std::string&)>& valid = {});
+              const std::function<bool(const std::string&)>& valid = {},
+              bool allow_hedge = true);
   /// Finish a begun get whose keys are the scratch's open bundle. kValues
   /// leaves the response's values parsed in the scratch; kStale is a
   /// WRONG_EPOCH bounce (a healthy answer: never retried, never a down
   /// mark — the caller refreshes and re-plans).
   Fetch fetch(kv::KvExchange::Pending& txn, double& elapsed);
   /// The validity check fetch() runs on each delivered frame: a VALUE
-  /// frame naming only keys of the open bundle, or a WRONG_EPOCH bounce.
+  /// frame, in the open bundle's version mode, naming only keys of the
+  /// open bundle; or a WRONG_EPOCH bounce.
   bool accept(const std::string& frame);
+  /// The bundled read behind every multi_get form: cover at least
+  /// `fraction` of the distinct keys or, given a `budget`, as many as
+  /// `budget` round-1 transactions reach and stop after round 1.
+  MultiGetResult read(std::span<const std::string> keys, double fraction,
+                      std::optional<std::uint32_t> budget);
+  /// Delete `key` on every server in `servers` as one wave tagged with
+  /// `epoch`: all deletes go out before the first answer is read. Sets
+  /// `bounced` on a WRONG_EPOCH answer. True when the last server
+  /// answered DELETED.
+  bool drop(std::string_view key, std::span<const ServerId> servers,
+            std::uint64_t epoch, double& elapsed, bool& bounced);
   /// `key`'s replicas under `placement`, in a scratch buffer.
   std::span<const ServerId> replicas_of(const ClusterView::Snapshot& placement,
                                         std::string_view key);
@@ -137,7 +188,7 @@ class KvClusterClient {
   kv::KvTransport& transport_;
   ClusterView& view_;
   KvClusterClientConfig config_;
-  // Reused reply buffers; one client per thread, like RnbKvClient. The
+  // Reused reply buffers; one client per thread, like a web worker. The
   // request frames live in the scratch.
   std::string response_;
   std::string ack_;

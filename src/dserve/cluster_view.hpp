@@ -147,8 +147,8 @@ class ClusterView {
 
   bool elastic() const noexcept { return placement_ == nullptr; }
 
-  /// Key -> item id, the same hash the wire clients use (kv/rnb_kv_client),
-  /// so live placement agrees with everything validated in the simulator.
+  /// Key -> item id. The simulator places item ids with the same policies,
+  /// so live placement agrees with everything validated there.
   static ItemId item_of(std::string_view key) noexcept {
     return fnv1a64(key);
   }

@@ -193,13 +193,4 @@ std::optional<std::vector<Value>> KvExchange::finish_values(
   return values;
 }
 
-std::optional<std::vector<Value>> KvExchange::exchange_values(
-    ServerId server, std::string& request, std::string& response,
-    bool with_versions, double& elapsed) {
-  if (deadline_exceeded(elapsed)) return std::nullopt;
-  Pending txn;
-  begin(txn, server, request);
-  return finish_values(txn, response, with_versions, elapsed);
-}
-
 }  // namespace rnb::kv

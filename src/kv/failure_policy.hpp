@@ -1,18 +1,19 @@
-// Failure policy and the per-transaction exchange engine shared by every
-// wire client.
+// Failure policy and the per-transaction exchange engine shared by
+// everything that talks to kv servers.
 //
-// RnbKvClient introduced the policy (bounded retries with decorrelated
-// jitter, quantile hedging, virtual deadlines) and the distributed serving
-// tier's KvClusterClient executes the same strategy over its ClusterView
-// placement, so the machinery lives here once: KvExchange owns the jitter
-// stream, the recent-latency window, and the lifetime counters, and runs
-// one transaction end to end — trace-tagging the frame, applying retries
-// and hedges, validating the response. A transaction can also run in two
-// steps, begin() then finish(), so a client can issue a wave of frames to
-// several servers before it waits for any reply. All timing is virtual
-// (transports report each roundtrip's latency and the engine accumulates
-// it, plus computed backoff waits, into the caller's elapsed total), so
-// runs stay reproducible under fault injection.
+// The policy is bounded retries with decorrelated jitter, quantile hedging
+// and virtual deadlines. The cluster client (dserve's KvClusterClient)
+// runs it for every operation, and the membership controller and the
+// migration driver for theirs, so the machinery lives here once:
+// KvExchange owns the jitter stream, the recent-latency window, and the
+// lifetime counters, and runs one transaction end to end — trace-tagging
+// the frame, applying retries and hedges, validating the response. A
+// transaction can also run in two steps, begin() then finish(), so a
+// client can issue a wave of frames to several servers before it waits for
+// any reply. All timing is virtual (transports report each roundtrip's
+// latency and the engine accumulates it, plus computed backoff waits, into
+// the caller's elapsed total), so runs stay reproducible under fault
+// injection.
 #pragma once
 
 #include <cstdint>
@@ -125,13 +126,6 @@ class KvExchange {
                 double& elapsed,
                 const std::function<bool(const std::string&)>& valid = {},
                 bool allow_hedge = true);
-
-  /// exchange() with finish_values()'s check.
-  std::optional<std::vector<Value>> exchange_values(ServerId server,
-                                                    std::string& request,
-                                                    std::string& response,
-                                                    bool with_versions,
-                                                    double& elapsed);
 
   /// True when `elapsed` crossed the policy deadline. Does not count the
   /// miss — callers account deadline_misses per operation, not per check.

@@ -1,7 +1,7 @@
 // Transport abstraction for the mini-memcached client.
 //
-// RnbKvClient only needs "send these bytes to server s, give me the
-// response bytes"; everything else (placement, bundling, fallback) is
+// A client only needs "send these bytes to server s, give me the response
+// bytes"; everything else (placement, bundling, fallback) is
 // transport-agnostic. Two implementations ship: LoopbackTransport
 // (in-process, deterministic, used by simulators and most tests) and
 // TcpClientTransport (real sockets, used by the proof-of-concept and the

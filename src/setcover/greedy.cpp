@@ -117,6 +117,23 @@ void run_greedy(const Instance& instance, std::size_t target,
   }
 }
 
+template <typename Instance>
+void run_budget(const Instance& instance, std::size_t max_transactions,
+                CoverResult& out, GreedyScratch& s) {
+  const std::size_t m = instance.num_items();
+  out.assignment.assign(m, kInvalidServer);
+  out.servers_used.clear();
+  if (m == 0 || max_transactions == 0) return;
+
+  const std::size_t words = densify(instance, s);
+  for (std::size_t txn = 0; txn < max_transactions; ++txn) {
+    std::size_t best_gain = 0;
+    const std::size_t best = pick(s, words, best_gain);
+    if (best_gain == 0) break;  // nothing left to gain: stop under budget
+    take(s, words, best, m, out);
+  }
+}
+
 }  // namespace
 
 CoverResult greedy_cover(const CoverInstance& instance) {
@@ -138,22 +155,23 @@ CoverResult greedy_cover_partial(const CoverInstance& instance,
   return result;
 }
 
+void greedy_cover_partial(const FlatCoverInstance& instance,
+                          std::size_t target, CoverResult& out,
+                          GreedyScratch& scratch) {
+  run_greedy(instance, std::min(target, instance.num_items()), out, scratch);
+}
+
 CoverResult greedy_cover_budget(const CoverInstance& instance,
                                 std::size_t max_transactions) {
-  const std::size_t m = instance.num_items();
   CoverResult result;
-  result.assignment.assign(m, kInvalidServer);
-  if (m == 0 || max_transactions == 0) return result;
-
-  GreedyScratch& scratch = thread_scratch();
-  const std::size_t words = densify(instance, scratch);
-  for (std::size_t txn = 0; txn < max_transactions; ++txn) {
-    std::size_t best_gain = 0;
-    const std::size_t best = pick(scratch, words, best_gain);
-    if (best_gain == 0) break;  // nothing left to gain: stop under budget
-    take(scratch, words, best, m, result);
-  }
+  run_budget(instance, max_transactions, result, thread_scratch());
   return result;
+}
+
+void greedy_cover_budget(const FlatCoverInstance& instance,
+                         std::size_t max_transactions, CoverResult& out,
+                         GreedyScratch& scratch) {
+  run_budget(instance, max_transactions, out, scratch);
 }
 
 }  // namespace rnb

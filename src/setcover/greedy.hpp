@@ -43,6 +43,11 @@ void greedy_cover(const FlatCoverInstance& instance, CoverResult& out,
 CoverResult greedy_cover_partial(const CoverInstance& instance,
                                  std::size_t target);
 
+/// greedy_cover_partial over a flat instance, written into `out`.
+void greedy_cover_partial(const FlatCoverInstance& instance,
+                          std::size_t target, CoverResult& out,
+                          GreedyScratch& scratch);
+
 /// Budgeted cover (maximum coverage): pick at most `max_transactions`
 /// servers, maximizing the number of covered items. This is the dual LIMIT
 /// form from the paper's Section III-F ("fetch as many items as possible
@@ -51,5 +56,10 @@ CoverResult greedy_cover_partial(const CoverInstance& instance,
 /// for maximum coverage. Items left uncovered get kInvalidServer.
 CoverResult greedy_cover_budget(const CoverInstance& instance,
                                 std::size_t max_transactions);
+
+/// greedy_cover_budget over a flat instance, written into `out`.
+void greedy_cover_budget(const FlatCoverInstance& instance,
+                         std::size_t max_transactions, CoverResult& out,
+                         GreedyScratch& scratch);
 
 }  // namespace rnb

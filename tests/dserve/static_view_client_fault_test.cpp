@@ -1,18 +1,22 @@
-// RnbKvClient failure policy over faulty transports: the zero-byte
-// response regression, retry/backoff, cover re-planning, hedging, and
-// virtual deadlines. All fault patterns are schedule-driven, so every
-// assertion here is deterministic.
+// KvClusterClient's failure policy over faulty transports and a static
+// ClusterView: the zero-byte response regression, retry/backoff, cover
+// re-planning, hedging, and virtual deadlines. All fault patterns are
+// schedule-driven, so every assertion here is deterministic.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "dserve/cluster_client.hpp"
 #include "faultsim/fault_transport.hpp"
-#include "kv/rnb_kv_client.hpp"
 #include "kv/transport.hpp"
 
-namespace rnb::kv {
+namespace rnb::dserve {
 namespace {
+
+using kv::KvTransport;
+using kv::LoopbackTransport;
+using kv::TransportResult;
 
 constexpr std::size_t kBudget = 1 << 20;
 
@@ -42,9 +46,8 @@ class EmptyResponseTransport final : public KvTransport {
 
 TEST(KvClientFault, ZeroByteResponseIsATransportErrorNotAMiss) {
   EmptyResponseTransport transport;
-  RnbKvClientConfig config;
-  config.replication = 2;
-  RnbKvClient client(transport, config);
+  ClusterView view(4, {.replication = 2});
+  KvClusterClient client(transport, view, {});
 
   EXPECT_EQ(client.get("anything"), std::nullopt);
   EXPECT_GT(client.failure_stats().empty_responses, 0u);
@@ -54,9 +57,8 @@ TEST(KvClientFault, ZeroByteResponseIsATransportErrorNotAMiss) {
 
 TEST(KvClientFault, ZeroByteResponsesDoNotCrashMultiGet) {
   EmptyResponseTransport transport;
-  RnbKvClientConfig config;
-  config.replication = 2;
-  RnbKvClient client(transport, config);
+  ClusterView view(4, {.replication = 2});
+  KvClusterClient client(transport, view, {});
 
   const auto keys = test_keys(6);
   const auto result = client.multi_get(keys);  // used to RNB_ENSURE-crash
@@ -72,15 +74,15 @@ TEST(KvClientFault, RetriesRecoverFromTransientDrops) {
   spec.seed = 23;
   faultsim::FaultInjectingTransport faulty(inner,
                                            faultsim::FaultSchedule(spec, 4));
-  RnbKvClientConfig config;
-  config.replication = 3;
+  ClusterView view(4, {.replication = 3});
+  KvClusterClientConfig config;
   config.failure.max_attempts = 6;
   // Populate through the clean inner transport so setup cannot fail.
   {
-    RnbKvClient loader(inner, config);
+    KvClusterClient loader(inner, view, config);
     for (const auto& k : test_keys(20)) loader.set(k, "value-" + k);
   }
-  RnbKvClient client(faulty, config);
+  KvClusterClient client(faulty, view, config);
   const auto keys = test_keys(20);
   // Several batches so the 30% drop rate is certain to be observed; every
   // batch must still come back complete.
@@ -101,14 +103,14 @@ TEST(KvClientFault, AlwaysTruncatedFramesFailCleanlyAsMissing) {
   spec.all.trunc = 1.0;
   faultsim::FaultInjectingTransport faulty(inner,
                                            faultsim::FaultSchedule(spec, 4));
-  RnbKvClientConfig config;
-  config.replication = 2;
+  ClusterView view(4, {.replication = 2});
+  KvClusterClientConfig config;
   config.failure.max_attempts = 2;
   {
-    RnbKvClient loader(inner, config);
+    KvClusterClient loader(inner, view, config);
     for (const auto& k : test_keys(5)) loader.set(k, "v");
   }
-  RnbKvClient client(faulty, config);
+  KvClusterClient client(faulty, view, config);
   const auto keys = test_keys(5);
   const auto result = client.multi_get(keys);
   EXPECT_EQ(result.missing.size(), keys.size());
@@ -119,12 +121,12 @@ TEST(KvClientFault, AlwaysTruncatedFramesFailCleanlyAsMissing) {
 
 TEST(KvClientFault, CrashedServerIsRecoveredViaReplicaCover) {
   LoopbackTransport inner(4, kBudget);
-  RnbKvClientConfig config;
   // r=2 over 4 servers: the bundling cover cannot avoid the dead server,
   // yet every key keeps exactly one live replica.
-  config.replication = 2;
+  ClusterView view(4, {.replication = 2});
+  KvClusterClientConfig config;
   {
-    RnbKvClient loader(inner, config);
+    KvClusterClient loader(inner, view, config);
     for (const auto& k : test_keys(24)) loader.set(k, "value-" + k);
   }
   // Server 1 refuses every roundtrip for the whole run.
@@ -133,7 +135,7 @@ TEST(KvClientFault, CrashedServerIsRecoveredViaReplicaCover) {
   faultsim::FaultInjectingTransport faulty(inner,
                                            faultsim::FaultSchedule(spec, 4));
   config.failure.max_attempts = 2;
-  RnbKvClient client(faulty, config);
+  KvClusterClient client(faulty, view, config);
 
   const auto keys = test_keys(24);
   const auto result = client.multi_get(keys);
@@ -150,19 +152,104 @@ TEST(KvClientFault, VirtualDeadlineCutsTheOperationShort) {
   spec.all.extra_latency = 0.050;  // every roundtrip costs >= 50 ms
   faultsim::FaultInjectingTransport faulty(inner,
                                            faultsim::FaultSchedule(spec, 4));
-  RnbKvClientConfig config;
-  config.replication = 2;
+  ClusterView view(4, {.replication = 2});
+  KvClusterClientConfig config;
   config.failure.deadline = 0.060;  // budget for barely one roundtrip
   {
-    RnbKvClient loader(inner, config);
+    KvClusterClient loader(inner, view, config);
     for (const auto& k : test_keys(40)) loader.set(k, "v");
   }
-  RnbKvClient client(faulty, config);
+  KvClusterClient client(faulty, view, config);
   const auto keys = test_keys(40);
   const auto result = client.multi_get(keys);
   EXPECT_TRUE(result.deadline_missed);
   EXPECT_LT(result.values.size(), keys.size());
   EXPECT_GT(client.failure_stats().deadline_misses, 0u);
+}
+
+/// Hands each frame to a loopback fleet the moment it is issued, as TCP
+/// does, so a frame the client later cancels has still reached its server.
+/// Records every frame; every attempt costs `latency`, and with `drop_gets`
+/// every versioned get is lost.
+class SendAtIssueTransport final : public KvTransport {
+ public:
+  SendAtIssueTransport(KvTransport& inner, double latency, bool drop_gets)
+      : inner_(inner), latency_(latency), drop_gets_(drop_gets) {}
+  ServerId num_servers() const noexcept override {
+    return inner_.num_servers();
+  }
+  TransportResult roundtrip(ServerId s, std::string_view request,
+                            std::string& response) override {
+    frames_.emplace_back(request);
+    if (drop_gets_ && request.starts_with("gets ")) {
+      response.clear();
+      return {kv::TransportStatus::kDropped, latency_};
+    }
+    TransportResult r = inner_.roundtrip(s, request, response);
+    r.latency = latency_;
+    return r;
+  }
+  kv::Ticket issue(ServerId s, std::string_view frame) override {
+    replies_.emplace_back();
+    results_.push_back(roundtrip(s, frame, replies_.back()));
+    return {s, frame, replies_.size() - 1, 0};
+  }
+  TransportResult collect(const kv::Ticket& ticket,
+                          std::string& response) override {
+    response = replies_[ticket.seq];
+    return results_[ticket.seq];
+  }
+  std::size_t count(std::string_view verb) const {
+    std::size_t n = 0;
+    for (const std::string& frame : frames_) n += frame.starts_with(verb);
+    return n;
+  }
+
+ private:
+  KvTransport& inner_;
+  double latency_;
+  bool drop_gets_;
+  std::vector<std::string> frames_;
+  std::vector<std::string> replies_;
+  std::vector<TransportResult> results_;
+};
+
+TEST(KvClientFault, AtomicUpdatePastItsDeadlineSendsNothingMore) {
+  const auto increment = [](std::string_view v) {
+    return std::to_string(std::stoi(std::string(v)) + 1);
+  };
+  // Each roundtrip costs `latency` against a 15 ms deadline, r = 2: the
+  // step-1 delete costs one roundtrip, so at 10 ms the versioned get goes
+  // out and its reply lands (or, dropped, its retry would start) past the
+  // deadline; at 20 ms the deadline passes during step 1.
+  struct Case {
+    double latency;
+    bool drop_gets;
+    std::size_t gets_sent;
+  };
+  for (const Case c : {Case{0.010, false, 1}, Case{0.010, true, 1},
+                       Case{0.020, false, 0}}) {
+    SCOPED_TRACE(testing::Message() << "latency " << c.latency
+                                    << (c.drop_gets ? ", gets dropped" : ""));
+    LoopbackTransport inner(4, kBudget);
+    ClusterView view(4, {.replication = 2});
+    KvClusterClient loader(inner, view, {});
+    loader.set("counter", "0");
+    SendAtIssueTransport wire(inner, c.latency, c.drop_gets);
+    KvClusterClientConfig config;
+    config.failure.deadline = 0.015;
+    KvClusterClient client(wire, view, config);
+
+    EXPECT_EQ(client.atomic_update("counter", increment),
+              KvClusterClient::UpdateOutcome::kConflict);
+    EXPECT_EQ(wire.count("delete "), 1u);
+    EXPECT_EQ(wire.count("gets "), c.gets_sent);
+    EXPECT_EQ(wire.count("cas "), 0u) << "a CAS went out past the deadline";
+    EXPECT_EQ(client.failure_stats().deadline_misses, 1u);
+    // A deadline cut is no evidence against the distinguished server.
+    EXPECT_EQ(view.down_marks(), 0u);
+    EXPECT_EQ(loader.get("counter"), "0");
+  }
 }
 
 /// Delivers through a loopback fleet but scripts latency: fast for the
@@ -190,15 +277,15 @@ class TailLatencyTransport final : public KvTransport {
 TEST(KvClientFault, HedgingFiresOnTailLatency) {
   LoopbackTransport inner(4, kBudget);
   TailLatencyTransport scripted(inner, /*fast_calls=*/30);
-  RnbKvClientConfig config;
-  config.replication = 1;
+  ClusterView view(4, {.replication = 1});
+  KvClusterClientConfig config;
   config.failure.hedging = true;
   config.failure.hedge_quantile = 0.9;
   {
-    RnbKvClient loader(inner, config);
+    KvClusterClient loader(inner, view, config);
     for (const auto& k : test_keys(60)) loader.set(k, "v");
   }
-  RnbKvClient client(scripted, config);
+  KvClusterClient client(scripted, view, config);
   // The first 30 gets fill the latency window with 1 ms samples; once the
   // transport degrades to 100 ms, responses land far past the learned p90
   // and the client must start issuing hedged duplicates.
@@ -210,11 +297,11 @@ TEST(KvClientFault, HedgingFiresOnTailLatency) {
 TEST(KvClientFault, FaultedRunsAreReproducible) {
   const auto run = [] {
     LoopbackTransport inner(4, kBudget);
-    RnbKvClientConfig config;
-    config.replication = 2;
+    ClusterView view(4, {.replication = 2});
+    KvClusterClientConfig config;
     config.failure.max_attempts = 3;
     {
-      RnbKvClient loader(inner, config);
+      KvClusterClient loader(inner, view, config);
       for (const auto& k : test_keys(30)) loader.set(k, "value-" + k);
     }
     faultsim::FaultSpec spec;
@@ -223,10 +310,10 @@ TEST(KvClientFault, FaultedRunsAreReproducible) {
     spec.seed = 31;
     faultsim::FaultInjectingTransport faulty(
         inner, faultsim::FaultSchedule(spec, 4));
-    RnbKvClient client(faulty, config);
+    KvClusterClient client(faulty, view, config);
     const auto keys = test_keys(30);
     const auto result = client.multi_get(keys);
-    const KvFailureStats& stats = client.failure_stats();
+    const kv::KvFailureStats& stats = client.failure_stats();
     return std::tuple{result.values.size(), result.missing.size(),
                       result.transactions(), result.retries, stats.attempts,
                       stats.transport_errors, stats.malformed_responses};
@@ -235,4 +322,4 @@ TEST(KvClientFault, FaultedRunsAreReproducible) {
 }
 
 }  // namespace
-}  // namespace rnb::kv
+}  // namespace rnb::dserve

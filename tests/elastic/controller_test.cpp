@@ -12,6 +12,7 @@
 #include "dserve/cluster_client.hpp"
 #include "dserve/server_group.hpp"
 #include "elastic/controller.hpp"
+#include "kv/protocol.hpp"
 #include "obs/metrics.hpp"
 
 namespace rnb::elastic {
@@ -135,8 +136,13 @@ class PublishAfterFirstSend final : public kv::KvTransport {
   kv::TransportResult roundtrip(ServerId s, std::string_view request,
                                 std::string& response) override {
     if (next_ != nullptr) view_.install_ring(std::exchange(next_, nullptr));
-    return inner_.roundtrip(s, request, response);
+    const kv::TransportResult r = inner_.roundtrip(s, request, response);
+    if (kv::parse_wrong_epoch(response).has_value()) ++bounces;
+    return r;
   }
+
+  /// WRONG_EPOCH answers seen.
+  int bounces = 0;
 
  private:
   kv::KvTransport& inner_;
@@ -182,6 +188,41 @@ TEST(MembershipController, StaleClientReplansOnWrongEpochBounce) {
   EXPECT_EQ(client.get(keys.front()), value_of(keys.front()));
   EXPECT_EQ(client.set(keys.front(), "rewritten"), 2u);
   EXPECT_EQ(client.get(keys.front()), "rewritten");
+}
+
+TEST(MembershipController, StaleClientAtomicUpdateReplansOnWrongEpochBounce) {
+  // atomic_update from a client one epoch behind: its step-1 deletes carry
+  // the old epoch and bounce. The bounce is a healthy answer, so the update
+  // takes the fresh ring once and redoes both steps on it.
+  dserve::ServerGroup group(elastic_config(dserve::GroupWire::kLoopback));
+  const auto keys = test_keys(150);
+  group.load(keys, value_of, /*preinstall_replicas=*/true);
+
+  const auto conn = group.connect();
+  group.start_server(3);
+  MembershipController raw(*conn, group.epochs(),
+                           MembershipControllerConfig{});
+  std::shared_ptr<const RingEpoch> committed;
+  raw.set_publish([&committed](std::shared_ptr<const RingEpoch> ring) {
+    committed = std::move(ring);
+  });
+  ASSERT_TRUE(raw.join(3));
+  ASSERT_NE(committed, nullptr);
+  ASSERT_EQ(group.view().epoch(), 1u) << "publish must have been deferred";
+
+  PublishAfterFirstSend wire(*conn, group.view(), committed);
+  dserve::KvClusterClient client(wire, group.view(), {});
+  const std::string& key = keys.front();
+  EXPECT_EQ(client.atomic_update(key,
+                                 [](std::string_view old) {
+                                   return std::string(old) + "+1";
+                                 }),
+            dserve::KvClusterClient::UpdateOutcome::kUpdated);
+  EXPECT_GE(wire.bounces, 1);
+  EXPECT_EQ(group.view().epoch(), 2u);
+  EXPECT_EQ(client.get(key), value_of(key) + "+1");
+  EXPECT_EQ(group.view().down_marks(), 0u)
+      << "an epoch bounce is not a server failure";
 }
 
 TEST(MembershipController, ExportsElasticMetricsSeries) {

@@ -7,10 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "dserve/cluster_client.hpp"
 #include "faultsim/fault_transport.hpp"
 #include "kv/protocol.hpp"
 #include "kv/reactor.hpp"
-#include "kv/rnb_kv_client.hpp"
 #include "kv/sim_poller.hpp"
 #include "kv/tcp.hpp"
 
@@ -144,14 +144,14 @@ TEST(ReactorFault, StalledServersTripTheClientDeadlineOverReactorFleet) {
   spec.all.extra_latency = 0.050;  // every roundtrip costs >= 50 ms
   faultsim::FaultInjectingTransport faulty(wire,
                                            faultsim::FaultSchedule(spec, 4));
-  RnbKvClientConfig config;
-  config.replication = 2;
+  dserve::ClusterView view(4, {.replication = 2});
+  dserve::KvClusterClientConfig config;
   config.failure.deadline = 0.060;  // budget for barely one roundtrip
   {
-    RnbKvClient loader(wire, config);
+    dserve::KvClusterClient loader(wire, view, config);
     for (const auto& k : test_keys(40)) loader.set(k, "v");
   }
-  RnbKvClient client(faulty, config);
+  dserve::KvClusterClient client(faulty, view, config);
   const auto keys = test_keys(40);
   const auto result = client.multi_get(keys);
   EXPECT_TRUE(result.deadline_missed);
@@ -163,14 +163,14 @@ TEST(ReactorFault, ClientRecoversCrashedServerOverReactorFleet) {
   // The paper's availability claim on the reactor core: with r=2, a fully
   // crashed server costs no data — the client's recover path re-plans
   // every lost bundle onto live replicas. Same schedule as the loopback
-  // test in rnb_kv_client_fault_test.cpp, but with real sockets and epoll
-  // loops underneath.
+  // test in static_view_client_fault_test.cpp, but with real sockets and
+  // epoll loops underneath.
   TcpFleet fleet(4, kBudget, /*shards_per_server=*/0, ServerModel::kReactor);
   TcpClientTransport wire(fleet.ports());
-  RnbKvClientConfig config;
-  config.replication = 2;
+  dserve::ClusterView view(4, {.replication = 2});
+  dserve::KvClusterClientConfig config;
   {
-    RnbKvClient loader(wire, config);
+    dserve::KvClusterClient loader(wire, view, config);
     for (const auto& k : test_keys(24)) loader.set(k, "value-" + k);
   }
   faultsim::FaultSpec spec;
@@ -178,7 +178,7 @@ TEST(ReactorFault, ClientRecoversCrashedServerOverReactorFleet) {
   faultsim::FaultInjectingTransport faulty(wire,
                                            faultsim::FaultSchedule(spec, 4));
   config.failure.max_attempts = 2;
-  RnbKvClient client(faulty, config);
+  dserve::KvClusterClient client(faulty, view, config);
 
   const auto keys = test_keys(24);
   const auto result = client.multi_get(keys);
@@ -192,11 +192,11 @@ TEST(ReactorFault, ClientRecoversCrashedServerOverReactorFleet) {
 TEST(ReactorFault, TransientDropsRetryCleanOverReactorFleet) {
   TcpFleet fleet(4, kBudget, 0, ServerModel::kReactor);
   TcpClientTransport wire(fleet.ports());
-  RnbKvClientConfig config;
-  config.replication = 3;
+  dserve::ClusterView view(4, {.replication = 3});
+  dserve::KvClusterClientConfig config;
   config.failure.max_attempts = 6;
   {
-    RnbKvClient loader(wire, config);
+    dserve::KvClusterClient loader(wire, view, config);
     for (const auto& k : test_keys(20)) loader.set(k, "value-" + k);
   }
   faultsim::FaultSpec spec;
@@ -204,7 +204,7 @@ TEST(ReactorFault, TransientDropsRetryCleanOverReactorFleet) {
   spec.seed = 23;
   faultsim::FaultInjectingTransport faulty(wire,
                                            faultsim::FaultSchedule(spec, 4));
-  RnbKvClient client(faulty, config);
+  dserve::KvClusterClient client(faulty, view, config);
   const auto keys = test_keys(20);
   std::uint64_t retries = 0;
   for (int batch = 0; batch < 5; ++batch) {

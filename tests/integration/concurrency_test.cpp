@@ -1,22 +1,31 @@
 // Concurrency stress: the paper's atomic-operation scheme (Section IV) must
 // not lose updates when two clients race on the same key over real sockets.
+// Every thread runs its own client and connection over one shared
+// ClusterView, as ServerGroup workers do, so under TSan these tests also
+// race the view's health marks and op clock.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
-#include "kv/rnb_kv_client.hpp"
+#include "dserve/cluster_client.hpp"
 #include "kv/tcp.hpp"
 
-namespace rnb::kv {
+namespace rnb::dserve {
 namespace {
 
+using Outcome = KvClusterClient::UpdateOutcome;
+
 TEST(Concurrency, RacingAtomicUpdatesLoseNothing) {
-  TcpFleet fleet(4, 16u << 20);
+  kv::TcpFleet fleet(4, 16u << 20);
   const std::vector<std::uint16_t> ports = fleet.ports();
+  ClusterView view(4, {.replication = 3});
 
   {
-    TcpClientTransport transport(ports);
-    RnbKvClient client(transport, {.replication = 3});
+    kv::TcpClientTransport transport(ports);
+    KvClusterClient client(transport, view, {});
     client.set("counter", "0");
   }
 
@@ -25,23 +34,23 @@ TEST(Concurrency, RacingAtomicUpdatesLoseNothing) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ports] {
-      TcpClientTransport transport(ports);
-      RnbKvClient client(transport, {.replication = 3});
+    threads.emplace_back([&ports, &view] {
+      kv::TcpClientTransport transport(ports);
+      KvClusterClient client(transport, view, {});
       for (int i = 0; i < kIncrementsPerThread; ++i) {
         // Retry until the CAS wins; kConflict only means "retries exhausted
         // this call", so loop at this level too.
         while (client.atomic_update("counter", [](std::string_view v) {
                  return std::to_string(std::stoll(std::string(v)) + 1);
-               }) != RnbKvClient::UpdateOutcome::kUpdated) {
+               }) != Outcome::kUpdated) {
         }
       }
     });
   }
   for (auto& t : threads) t.join();
 
-  TcpClientTransport transport(ports);
-  RnbKvClient client(transport, {.replication = 3});
+  kv::TcpClientTransport transport(ports);
+  KvClusterClient client(transport, view, {});
   const auto final_value = client.get("counter");
   ASSERT_TRUE(final_value.has_value());
   EXPECT_EQ(*final_value, std::to_string(kThreads * kIncrementsPerThread));
@@ -52,18 +61,19 @@ TEST(Concurrency, ReadersDuringUpdatesSeeCurrentOrPriorValue) {
   // actually wrote (monotonically non-decreasing sequence numbers), never a
   // torn or resurrected one — even when bundled reads hit replica servers
   // whose copies the updates keep invalidating.
-  TcpFleet fleet(4, 16u << 20);
+  kv::TcpFleet fleet(4, 16u << 20);
   const std::vector<std::uint16_t> ports = fleet.ports();
+  ClusterView view(4, {.replication = 3});
   {
-    TcpClientTransport transport(ports);
-    RnbKvClient client(transport, {.replication = 3});
+    kv::TcpClientTransport transport(ports);
+    KvClusterClient client(transport, view, {});
     client.set("seq", "0");
   }
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    TcpClientTransport transport(ports);
-    RnbKvClient client(transport, {.replication = 3});
+    kv::TcpClientTransport transport(ports);
+    KvClusterClient client(transport, view, {});
     for (int i = 1; i <= 300; ++i)
       client.atomic_update("seq", [&](std::string_view) {
         return std::to_string(i);
@@ -74,8 +84,8 @@ TEST(Concurrency, ReadersDuringUpdatesSeeCurrentOrPriorValue) {
   long last_seen = 0;
   bool monotone = true;
   {
-    TcpClientTransport transport(ports);
-    RnbKvClient client(transport, {.replication = 3});
+    kv::TcpClientTransport transport(ports);
+    KvClusterClient client(transport, view, {});
     const std::vector<std::string> keys = {"seq"};
     while (!stop.load()) {
       const auto result = client.multi_get(keys);
@@ -95,4 +105,4 @@ TEST(Concurrency, ReadersDuringUpdatesSeeCurrentOrPriorValue) {
 }
 
 }  // namespace
-}  // namespace rnb::kv
+}  // namespace rnb::dserve

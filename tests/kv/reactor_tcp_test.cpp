@@ -11,8 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "dserve/cluster_client.hpp"
 #include "kv/protocol.hpp"
-#include "kv/rnb_kv_client.hpp"
 #include "kv/tcp.hpp"
 #include "kv/transport.hpp"
 
@@ -198,7 +198,8 @@ TEST(ReactorTcp, RnbClientOverReactorFleetEndToEnd) {
   TcpFleet fleet(4, 4u << 20, /*shards_per_server=*/0,
                  ServerModel::kReactor);
   TcpClientTransport transport(fleet.ports());
-  RnbKvClient client(transport, {.replication = 2});
+  dserve::ClusterView view(4, {.replication = 2});
+  dserve::KvClusterClient client(transport, view, {});
 
   std::vector<std::string> keys;
   for (int i = 0; i < 30; ++i) {
@@ -212,7 +213,7 @@ TEST(ReactorTcp, RnbClientOverReactorFleetEndToEnd) {
 
   EXPECT_EQ(client.atomic_update("rx:0",
                                  [](std::string_view) { return "patched"; }),
-            RnbKvClient::UpdateOutcome::kUpdated);
+            dserve::KvClusterClient::UpdateOutcome::kUpdated);
   EXPECT_EQ(*client.get("rx:0"), "patched");
   EXPECT_TRUE(client.remove("rx:1"));
   EXPECT_FALSE(client.get("rx:1").has_value());
@@ -225,15 +226,17 @@ TEST(ReactorTcp, ThreadAndReactorModelsAgreeOnResults) {
   TcpFleet reactors(4, 4u << 20, 0, ServerModel::kReactor);
   TcpClientTransport wire_a(threads.ports());
   TcpClientTransport wire_b(reactors.ports());
-  RnbKvClient a(wire_a, {.replication = 2, .placement_seed = 9});
-  RnbKvClient b(wire_b, {.replication = 2, .placement_seed = 9});
+  dserve::ClusterView view_a(4, {.replication = 2, .placement_seed = 9});
+  dserve::ClusterView view_b(4, {.replication = 2, .placement_seed = 9});
+  dserve::KvClusterClient a(wire_a, view_a, {});
+  dserve::KvClusterClient b(wire_b, view_b, {});
 
   std::vector<std::string> keys;
   for (int i = 0; i < 20; ++i) {
     keys.push_back("k" + std::to_string(i));
     a.set(keys.back(), "v");
     b.set(keys.back(), "v");
-    ASSERT_EQ(a.servers_for(keys.back()), b.servers_for(keys.back()));
+    ASSERT_EQ(view_a.replicas(keys.back()), view_b.replicas(keys.back()));
   }
   const auto ra = a.multi_get(keys);
   const auto rb = b.multi_get(keys);

@@ -4,8 +4,8 @@
 
 #include <thread>
 
+#include "dserve/cluster_client.hpp"
 #include "kv/protocol.hpp"
-#include "kv/rnb_kv_client.hpp"
 #include "kv/transport.hpp"
 
 namespace rnb::kv {
@@ -284,7 +284,8 @@ TEST(TcpKv, RnbClientOverTcpEndToEnd) {
   // The full proof-of-concept stack: RnB client -> real sockets -> fleet.
   TcpFleet fleet(4, 4u << 20);
   TcpClientTransport transport(fleet.ports());
-  RnbKvClient client(transport, {.replication = 2});
+  dserve::ClusterView view(4, {.replication = 2});
+  dserve::KvClusterClient client(transport, view, {});
 
   std::vector<std::string> keys;
   for (int i = 0; i < 30; ++i) {
@@ -298,7 +299,7 @@ TEST(TcpKv, RnbClientOverTcpEndToEnd) {
 
   EXPECT_EQ(client.atomic_update("tcp:0",
                                  [](std::string_view) { return "patched"; }),
-            RnbKvClient::UpdateOutcome::kUpdated);
+            dserve::KvClusterClient::UpdateOutcome::kUpdated);
   EXPECT_EQ(*client.get("tcp:0"), "patched");
   EXPECT_TRUE(client.remove("tcp:1"));
   EXPECT_FALSE(client.get("tcp:1").has_value());
@@ -309,16 +310,18 @@ TEST(TcpKv, LoopbackAndTcpAgreeOnPlacementAndResults) {
   TcpFleet fleet(4, 4u << 20);
   TcpClientTransport tcp(fleet.ports());
   LoopbackTransport loop(4, 4u << 20);
-  RnbKvClient tcp_client(tcp, {.replication = 2, .placement_seed = 9});
-  RnbKvClient loop_client(loop, {.replication = 2, .placement_seed = 9});
+  dserve::ClusterView tcp_view(4, {.replication = 2, .placement_seed = 9});
+  dserve::ClusterView loop_view(4, {.replication = 2, .placement_seed = 9});
+  dserve::KvClusterClient tcp_client(tcp, tcp_view, {});
+  dserve::KvClusterClient loop_client(loop, loop_view, {});
 
   std::vector<std::string> keys;
   for (int i = 0; i < 20; ++i) {
     keys.push_back("k" + std::to_string(i));
     tcp_client.set(keys.back(), "v");
     loop_client.set(keys.back(), "v");
-    ASSERT_EQ(tcp_client.servers_for(keys.back()),
-              loop_client.servers_for(keys.back()));
+    ASSERT_EQ(tcp_view.replicas(keys.back()),
+              loop_view.replicas(keys.back()));
   }
   const auto a = tcp_client.multi_get(keys);
   const auto b = loop_client.multi_get(keys);

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "kv/rnb_kv_client.hpp"
+#include "dserve/cluster_client.hpp"
 #include "kv/transport.hpp"
 #include "obs/slow_log.hpp"
 #include "obs/trace.hpp"
@@ -38,7 +38,8 @@ TracedRun traced_run() {
   obs::SlowLog::set_current(&slow_log);
   {
     LoopbackTransport transport(8, 1 << 22);
-    RnbKvClient client(transport, {.replication = 3});
+    dserve::ClusterView view(8, {.replication = 3});
+    dserve::KvClusterClient client(transport, view, {});
     std::vector<std::string> keys;
     for (int i = 0; i < 20; ++i) keys.push_back("key:" + std::to_string(i));
     for (const auto& k : keys) client.set(k, "v/" + k);
